@@ -7,7 +7,8 @@ from .persistence import (Filtration, PersistenceDiagram, PersistencePair,
                           build_rips, diagram, reduce, reduce_naive,
                           representative_cycle)
 from .vectorize import (HistogramSpec, LandscapeImage, default_spec, features,
-                        gaussian_blur, histogram, split_features)
+                        gaussian_blur, histogram, landscapes, pixel_of_pair,
+                        split_features)
 from .forest import (Forest, TrainConfig, impurity_importance,
                      permutation_importance, predict, predict_batch, r2, train)
 from .xai import (Attribution, CohortIndicatorMatrix, SimilaritySpec, cohort_shapley,

@@ -81,6 +81,20 @@ def load_manifest(path) -> dict:
     if not path.exists():
         raise DataError(f"manifest not found: {path}")
     m = json.loads(path.read_text())
+    if not isinstance(m, dict):
+        raise DataError(f"{path}: not a JSON object")
+    if m.get("format_version") != FORMAT_VERSION:
+        raise DataError(f"{path}: format_version {m.get('format_version')!r},"
+                        f" expected {FORMAT_VERSION!r}")
+    for key in ("items", "rips", "histograms"):
+        if key not in m:
+            raise DataError(f"{path}: missing key {key!r}")
+    if not m["items"]:
+        raise DataError(f"{path}: no items")
+    for k, item in enumerate(m["items"]):
+        for key in ("id", "cloud"):
+            if key not in item:
+                raise DataError(f"{path}: item {k} is missing key {key!r}")
     ids = [item["id"] for item in m["items"]]
     if len(set(ids)) != len(ids):
         raise DataError("manifest item ids are not unique")
@@ -115,24 +129,44 @@ def _load_cloud(m: dict, item: dict) -> geo.PointCloud:
     return geo.load_xyz(m["_dir"] / item["cloud"])
 
 
-def _load_features(m: dict) -> tuple[list[str], np.ndarray]:
-    path = m["_dir"] / "features.csv"
-    if not path.exists():
-        raise DataError("features.csv not found; run `pipeline --stages vectorize` first")
+def _read_features(path: Path) -> tuple[list[str], np.ndarray]:
     lines = path.read_text().splitlines()
+    if not lines:
+        raise DataError(f"{path}: empty file")
+    width = len(lines[0].split(",")) - 1
     ids, rows = [], []
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
+        try:
+            if len(parts) != width + 1:
+                raise ValueError
+            rows.append([float(v) for v in parts[1:]])
+        except ValueError:
+            raise DataError(f"{path}, line {lineno}: expected an id and"
+                            f" {width} numbers") from None
         ids.append(parts[0])
-        rows.append([float(v) for v in parts[1:]])
-    return ids, np.array(rows)
+    return ids, np.array(rows, dtype=float).reshape(len(rows), width)
+
+
+def _load_features(m: dict) -> tuple[list[str], np.ndarray]:
+    """The feature table, parsed at most once per command: the vectorize
+    stage leaves what it wrote on the manifest dict."""
+    if "_features" not in m:
+        path = m["_dir"] / "features.csv"
+        if not path.exists():
+            raise DataError("features.csv not found; run `pipeline --stages vectorize` first")
+        m["_features"] = _read_features(path)
+    return m["_features"]
 
 
 def _load_model(m: dict) -> forest_mod.Forest:
     path = m["_dir"] / "model.json"
     if not path.exists():
         raise DataError("model.json not found; run `pipeline --stages train` first")
-    return forest_mod.Forest.from_dict(json.loads(path.read_text()))
+    try:
+        return forest_mod.Forest.from_dict(json.loads(path.read_text()))
+    except (ValueError, KeyError) as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def _predictions(m: dict) -> np.ndarray:
@@ -189,23 +223,23 @@ def cmd_gen_data(args) -> int:
 # ---------------------------------------------------------------------------
 # pipeline stages
 
+def _filtration(m: dict, cloud: geo.PointCloud) -> ph.Filtration:
+    return ph.build_rips(geo.pairwise_distances(cloud), m["rips"]["max_dim"],
+                         m["rips"]["max_radius"])
+
+
 def _stage_ph(m: dict, args) -> None:
     if args.max_radius is not None:
         m["rips"]["max_radius"] = args.max_radius
     out = m["_dir"] / "diagrams"
     out.mkdir(exist_ok=True)
     for item in m["items"]:
-        cloud = _load_cloud(m, item)
-        filtration = ph.build_rips(geo.pairwise_distances(cloud),
-                                   m["rips"]["max_dim"], m["rips"]["max_radius"])
-        pairs = ph.reduce(filtration)
+        pairs = ph.reduce(_filtration(m, _load_cloud(m, item)))
         _write_json(out / f"{item['id']}.json", ph.diagrams_to_records(pairs))
 
 
-def _diagram_from_records(records, dimension: int) -> ph.PersistenceDiagram:
-    pairs = [ph.PersistencePair(r["dim"], r["birth"], r["death"], -1, -1)
-             for r in records if r["dim"] == dimension]
-    return ph.diagram(pairs, dimension)
+def _pairs_from_records(records) -> list[ph.PersistencePair]:
+    return [ph.PersistencePair(r["dim"], r["birth"], r["death"], -1, -1) for r in records]
 
 
 def _stage_vectorize(m: dict, args) -> None:
@@ -230,8 +264,7 @@ def _stage_vectorize(m: dict, args) -> None:
         if not dg_path.exists():
             raise DataError(f"diagram for {item['id']} not found; run --stages ph first")
         records = json.loads(dg_path.read_text())
-        img1 = vec.gaussian_blur(vec.histogram(_diagram_from_records(records, 1), h1s))
-        img2 = vec.gaussian_blur(vec.histogram(_diagram_from_records(records, 2), h2s))
+        img1, img2 = vec.landscapes(_pairs_from_records(records), h1s, h2s)
         _write_grid_csv(land_dir / f"{item['id']}_h1.csv", img1.values)
         _write_grid_csv(land_dir / f"{item['id']}_h2.csv", img2.values)
         feature_rows.append((item["id"], vec.features(img1, img2)))
@@ -240,6 +273,8 @@ def _stage_vectorize(m: dict, args) -> None:
     for item_id, row in feature_rows:
         lines.append(item_id + "," + ",".join(repr(float(v)) for v in row))
     _atomic_write_text(m["_dir"] / "features.csv", "\n".join(lines) + "\n")
+    m["_features"] = ([item_id for item_id, _ in feature_rows],
+                      np.array([row for _, row in feature_rows]))
 
 
 def _stage_train(m: dict, args) -> float | None:
@@ -309,14 +344,10 @@ def cmd_pipeline(args) -> int:
 
 def _pipeline_scorer(m: dict, model: forest_mod.Forest):
     h1s, h2s = _manifest_specs(m)
-    max_dim = m["rips"]["max_dim"]
-    max_radius = m["rips"]["max_radius"]
 
     def score(cloud: geo.PointCloud) -> float:
-        pairs = ph.reduce(ph.build_rips(geo.pairwise_distances(cloud), max_dim, max_radius))
-        img1 = vec.gaussian_blur(vec.histogram(ph.diagram(pairs, 1), h1s))
-        img2 = vec.gaussian_blur(vec.histogram(ph.diagram(pairs, 2), h2s))
-        return forest_mod.predict(model, vec.features(img1, img2))
+        pairs = ph.reduce(_filtration(m, cloud))
+        return forest_mod.predict(model, vec.features(*vec.landscapes(pairs, h1s, h2s)))
 
     return score
 
@@ -337,9 +368,7 @@ def _explain_pixels(m: dict, args, target_idx: int, out_dir: Path) -> None:
 
     # match influential pixels back to the target's diagram pairs and dump
     # a representative cycle for each matched pair
-    cloud = _load_cloud(m, m["items"][target_idx])
-    filtration = ph.build_rips(geo.pairwise_distances(cloud), m["rips"]["max_dim"],
-                               m["rips"]["max_radius"])
+    filtration = _filtration(m, _load_cloud(m, m["items"][target_idx]))
     pairs = ph.reduce(filtration)
     h1s, h2s = _manifest_specs(m)
     cycles = []

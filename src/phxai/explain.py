@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import GridSpec, PointCloud, grid_counts, point_cell_indices, PARAM_NAMES
-from .vectorize import default_spec
+from .vectorize import default_spec, pixel_of_pair, split_features
 from .xai import (SimilaritySpec, cohort_shapley, igcs, similarity_matrix,
                   DEFAULT_STEPS)
 
@@ -121,11 +121,6 @@ class PixelCycleMatch:
     pairs: tuple
 
 
-def _split_flat(flat: np.ndarray, bins: int) -> tuple[np.ndarray, np.ndarray]:
-    half = bins * bins
-    return flat[:half].reshape(bins, bins), flat[half:].reshape(bins, bins)
-
-
 def pixel_attribution(dataset_features, predictions, target_row: int,
                       similarity: SimilaritySpec = SimilaritySpec(),
                       steps: int = DEFAULT_STEPS) -> PixelAttributionMap:
@@ -133,13 +128,10 @@ def pixel_attribution(dataset_features, predictions, target_row: int,
     predictions as the explained output, reshaped into H1/H2 grids."""
     X = np.asarray(dataset_features, dtype=float)
     y = np.asarray(predictions, dtype=float)
-    d = X.shape[1]
-    bins = int(round((d / 2) ** 0.5))
-    if 2 * bins * bins != d:
-        raise ValueError(f"feature width {d} is not 2 * bins^2")
+    split_features(np.zeros(X.shape[1]))  # reject a bad width before the cohort is built
     cohort = similarity_matrix(X, target_row, similarity)
     att = igcs(cohort, y, steps)
-    h1, h2 = _split_flat(att.values, bins)
+    h1, h2 = split_features(att.values)
     return PixelAttributionMap(h1, h2, att.baseline, att.total)
 
 
@@ -213,7 +205,6 @@ def higher_order(params_table, dataset_features, predictions, target_row: int,
     X = np.asarray(dataset_features, dtype=float)
     y = np.asarray(predictions, dtype=float)
     n, d = X.shape
-    bins = int(round((d / 2) ** 0.5))
     first = pixel_attribution(X, y, target_row, similarity, steps)
     if pixel_subset is None:
         pixel_subset = default_pixel_subset(first, quantile)
@@ -239,7 +230,7 @@ def higher_order(params_table, dataset_features, predictions, target_row: int,
 
     maps = {}
     for name in PARAM_NAMES:
-        h1, h2 = _split_flat(flat_maps[name], bins)
+        h1, h2 = split_features(flat_maps[name])
         maps[name] = PixelAttributionMap(h1, h2, 0.0, 0.0)
     return HigherOrderMaps(maps, baseline, computed, first)
 
@@ -259,13 +250,11 @@ def influential_cycles(attr_map: PixelAttributionMap, diag, top_k: int,
     flat = grid.ravel()
     order = np.lexsort((np.arange(len(flat)), -np.abs(flat)))[:top_k]
 
-    from .vectorize import _bin_index
     binned: dict[tuple[int, int], list] = {}
     for pair in diag.pairs:
-        i = _bin_index(pair.birth, spec.birth_max, bins)
-        j = _bin_index(pair.death - pair.birth, spec.persistence_max, bins)
-        if i >= 0 and j >= 0:
-            binned.setdefault((i, j), []).append(pair)
+        pixel = pixel_of_pair(pair, spec)
+        if pixel is not None:
+            binned.setdefault(pixel, []).append(pair)
     out = []
     for f in order:
         i, j = int(f) // bins, int(f) % bins

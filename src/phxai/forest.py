@@ -62,13 +62,6 @@ class Tree:
     n_samples: np.ndarray
     decrease: np.ndarray
 
-    def predict_one(self, x: np.ndarray) -> float:
-        node = 0
-        while self.feature[node] >= 0:
-            node = self.left[node] if x[self.feature[node]] <= self.threshold[node] \
-                else self.right[node]
-        return float(self.value[node])
-
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
         node = np.zeros(len(X), dtype=np.int64)
         internal = self.feature[node] >= 0
@@ -79,6 +72,27 @@ class Tree:
             node[idx] = np.where(go_left, self.left[node[idx]], self.right[node[idx]])
             internal = self.feature[node] >= 0
         return self.value[node]
+
+
+def _check_tree(k: int, tree: Tree, feature_count: int) -> None:
+    """Reject node arrays that a tree walk could loop on or index past:
+    internal nodes must point strictly forward (the grower always appends
+    children after their parent), leaves must have no children, and split
+    features must lie in [0, feature_count)."""
+    n = len(tree.feature)
+    arrays = (tree.feature, tree.threshold, tree.left, tree.right, tree.value,
+              tree.n_samples, tree.decrease)
+    if n == 0 or any(a.ndim != 1 or len(a) != n for a in arrays):
+        raise ValueError(f"tree {k}: node arrays must be non-empty and of equal length")
+    internal = tree.feature >= 0
+    nodes = np.flatnonzero(internal)
+    for child in (tree.left, tree.right):
+        if ((child[internal] <= nodes) | (child[internal] >= n)).any():
+            raise ValueError(f"tree {k}: an internal node's child does not lie after it")
+        if (child[~internal] != -1).any():
+            raise ValueError(f"tree {k}: a leaf has a child")
+    if (tree.feature < -1).any() or (tree.feature >= feature_count).any():
+        raise ValueError(f"tree {k}: a split feature is outside [0, {feature_count})")
 
 
 @dataclass
@@ -112,7 +126,12 @@ class Forest:
                       np.array(t["n_samples"], dtype=np.int64),
                       np.array(t["decrease"], dtype=float))
                  for t in d["trees"]]
-        return cls(trees, TrainConfig.from_dict(d["config"]), int(d["feature_count"]))
+        feature_count = int(d["feature_count"])
+        if not trees:
+            raise ValueError("model has no trees")
+        for k, tree in enumerate(trees):
+            _check_tree(k, tree, feature_count)
+        return cls(trees, TrainConfig.from_dict(d["config"]), feature_count)
 
 
 def _best_split(Xn: np.ndarray, yn: np.ndarray, cols: np.ndarray, min_leaf: int):
@@ -230,11 +249,12 @@ def train(X, y, config: TrainConfig = TrainConfig()) -> Forest:
 
 
 def predict(forest: Forest, x) -> float:
-    """Mean of the per-tree leaf values for a single sample."""
+    """Mean of the per-tree leaf values for a single sample, the same float
+    `predict_batch` gives for that sample as a row."""
     x = np.asarray(x, dtype=float)
     if x.shape != (forest.feature_count,):
         raise ValueError(f"expected {forest.feature_count} features, got {x.shape}")
-    return float(np.mean([t.predict_one(x) for t in forest.trees]))
+    return float(predict_batch(forest, x[None, :])[0])
 
 
 def predict_batch(forest: Forest, X) -> np.ndarray:

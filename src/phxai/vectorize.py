@@ -10,9 +10,12 @@ attribution output.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import persistence as ph
 
 BINS = 54
 H1_BIRTH_MAX = 27.0
@@ -76,12 +79,15 @@ class LandscapeImage:
         self.values = v
 
 
-def _bin_index(x: float, x_max: float, bins: int) -> int:
-    """Uniform half-open bins on [0, x_max], last bin closed; -1 if outside."""
-    if x < 0 or x > x_max:
-        return -1
-    i = int(x / x_max * bins)
-    return bins - 1 if i == bins else i
+def pixel_of_pair(pair, spec: HistogramSpec) -> tuple[int, int] | None:
+    """(birth bin, persistence bin) of a diagram pair, or None outside the
+    axis window. Bins are uniform and half-open on [0, max], the last closed."""
+    b = spec.bins_per_axis
+    birth, pers = pair.birth, pair.death - pair.birth
+    if birth < 0 or birth > spec.birth_max or pers < 0 or pers > spec.persistence_max:
+        return None
+    return (min(int(birth / spec.birth_max * b), b - 1),
+            min(int(pers / spec.persistence_max * b), b - 1))
 
 
 def histogram(diag, spec: HistogramSpec) -> LandscapeImage:
@@ -96,12 +102,11 @@ def histogram(diag, spec: HistogramSpec) -> LandscapeImage:
     values = np.zeros((b, b))
     dropped = 0
     for pair in diag.pairs:
-        i = _bin_index(pair.birth, spec.birth_max, b)
-        j = _bin_index(pair.death - pair.birth, spec.persistence_max, b)
-        if i < 0 or j < 0:
+        pixel = pixel_of_pair(pair, spec)
+        if pixel is None:
             dropped += 1
         else:
-            values[i, j] += 1.0
+            values[pixel] += 1.0
     return LandscapeImage(values, spec, dropped)
 
 
@@ -147,8 +152,14 @@ def gaussian_blur(image: LandscapeImage) -> LandscapeImage:
     return LandscapeImage(out, spec, image.dropped)
 
 
-def feature_length(bins: int = BINS) -> int:
-    return 2 * bins * bins
+def landscapes(pairs, h1_spec: HistogramSpec, h2_spec: HistogramSpec
+               ) -> tuple[LandscapeImage, LandscapeImage]:
+    """Blurred H1 and H2 images of one cloud's persistence pairs: the one
+    pairs -> features path, shared by the vectorize stage and the grid
+    scorer so that a perturbed cloud is scored like the training data."""
+    img1 = gaussian_blur(histogram(ph.diagram(pairs, 1), h1_spec))
+    img2 = gaussian_blur(histogram(ph.diagram(pairs, 2), h2_spec))
+    return img1, img2
 
 
 def features(h1: LandscapeImage, h2: LandscapeImage) -> np.ndarray:
@@ -164,11 +175,13 @@ def features(h1: LandscapeImage, h2: LandscapeImage) -> np.ndarray:
     return np.concatenate([h1.values.ravel(), h2.values.ravel()])
 
 
-def split_features(vec: np.ndarray, bins: int = BINS) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of `features`: recover the two bins x bins grids."""
+def split_features(vec) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse of `features`: recover the two bins x bins grids, with bins
+    worked out from the vector's length."""
     vec = np.asarray(vec, dtype=float)
-    if vec.shape != (2 * bins * bins,):
-        raise ValueError(f"expected a flat vector of length {2 * bins * bins}")
+    bins = math.isqrt(vec.size // 2)
+    if vec.ndim != 1 or bins == 0 or vec.size != 2 * bins * bins:
+        raise ValueError(f"feature width {vec.shape} is not 2 * bins^2")
     half = bins * bins
     return vec[:half].reshape(bins, bins), vec[half:].reshape(bins, bins)
 

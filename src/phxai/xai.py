@@ -20,7 +20,6 @@ import numpy as np
 
 EXACT_SHAPLEY_MAX_FEATURES = 25
 DEFAULT_STEPS = 50
-VERIFICATION_STEPS = 500
 DEFAULT_RATIO = 0.01
 
 

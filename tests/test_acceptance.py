@@ -212,20 +212,20 @@ def test_criterion_6_igcs_quadrature():
               " corners exact; gradient to 1e-5")
 
 
+def _featurize(cloud):
+    pairs = ph.reduce(ph.build_rips(geo.pairwise_distances(cloud), 3, ph.DEFAULT_MAX_RADIUS))
+    return vec.features(*vec.landscapes(pairs, vec.default_spec(1), vec.default_spec(2)))
+
+
 def _extract_features(param_indices, probe_radius=2.0):
     vocab = geo.iter_param_vectors()
-    h1s, h2s = vec.default_spec(1), vec.default_spec(2)
-    X = np.empty((len(param_indices), 2 * h1s.bins_per_axis ** 2))
+    X = np.empty((len(param_indices), 2 * vec.BINS ** 2))
     y = np.empty(len(param_indices))
     params = []
     for k, vi in enumerate(param_indices):
         p = vocab[int(vi)]
         cloud = geo.generate_structure(p)
-        pairs = ph.reduce(ph.build_rips(geo.pairwise_distances(cloud), 3,
-                                        ph.DEFAULT_MAX_RADIUS))
-        img1 = vec.gaussian_blur(vec.histogram(ph.diagram(pairs, 1), h1s))
-        img2 = vec.gaussian_blur(vec.histogram(ph.diagram(pairs, 2), h2s))
-        X[k] = vec.features(img1, img2)
+        X[k] = _featurize(cloud)
         y[k] = geo.synthetic_target(cloud, probe_radius)
         params.append(p)
     return params, X, y
@@ -252,14 +252,8 @@ def test_criterion_8_grid_based_explanation():
     _, X, y = _extract_features(train_idx)
     model = fr.train(X, y, fr.TrainConfig(n_trees=40, seed=1))
 
-    h1s, h2s = vec.default_spec(1), vec.default_spec(2)
-
     def scorer(cloud):
-        pairs = ph.reduce(ph.build_rips(geo.pairwise_distances(cloud), 3,
-                                        ph.DEFAULT_MAX_RADIUS))
-        img1 = vec.gaussian_blur(vec.histogram(ph.diagram(pairs, 1), h1s))
-        img2 = vec.gaussian_blur(vec.histogram(ph.diagram(pairs, 2), h2s))
-        return fr.predict(model, vec.features(img1, img2))
+        return fr.predict(model, _featurize(cloud))
 
     target = geo.generate_structure(geo.ParamVector("cube", "penta", "quad", "ring6_b"))
     assert len(target) <= 60

@@ -1,9 +1,15 @@
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from phxai import cli
+from phxai import geometry as geo
 from phxai import persistence as ph
 from phxai import vectorize as vec
 
@@ -69,6 +75,120 @@ def test_pipeline_rerun_byte_identical(dataset, tmp_path):
                "ph,vectorize,train,predict", "--trees", 15, "--seed", 1) == 0
     assert (dataset / "features.csv").read_bytes() == before
     assert (dataset / "model.json").read_bytes() == model_before
+
+
+def test_features_csv_matches_in_memory_featurize_and_scorer(dataset):
+    """The diagram-JSON round trip loses nothing: every features.csv row is
+    the in-memory PH -> landscapes -> features vector of its cloud, and the
+    grid scorer reproduces the manifest's predictions bit for bit."""
+    m = cli.load_manifest(dataset / "manifest.json")
+    ids, X = cli._load_features(m)
+    h1s, h2s = cli._manifest_specs(m)
+    score = cli._pipeline_scorer(m, cli._load_model(m))
+    assert ids == [item["id"] for item in m["items"]]
+    for item, row in zip(m["items"], X):
+        cloud = geo.load_xyz(dataset / item["cloud"])
+        pairs = ph.reduce(ph.build_rips(geo.pairwise_distances(cloud),
+                                        m["rips"]["max_dim"], m["rips"]["max_radius"]))
+        assert np.array_equal(vec.features(*vec.landscapes(pairs, h1s, h2s)), row)
+        assert score(cloud) == item["prediction"]
+
+
+@pytest.mark.parametrize("stages, parses", [("train,predict", 1),
+                                             ("vectorize,train,predict", 0)])
+def test_pipeline_parses_features_csv_at_most_once(dataset, tmp_path, monkeypatch,
+                                                   stages, parses):
+    copy = tmp_path / "d"
+    shutil.copytree(dataset, copy)
+    calls = []
+    read = cli._read_features
+
+    def counting_read(path):
+        calls.append(path)
+        return read(path)
+
+    monkeypatch.setattr(cli, "_read_features", counting_read)
+    assert run("pipeline", copy / "manifest.json", "--stages", stages,
+               "--trees", 3, "--holdout", 2) == 0
+    assert len(calls) == parses
+
+
+def _edit_json(path, edit):
+    obj = json.loads(path.read_text())
+    edit(obj)
+    path.write_text(json.dumps(obj))
+
+
+def _edit_csv_line(path, lineno, edit):
+    lines = path.read_text().splitlines()
+    lines[lineno - 1] = edit(lines[lineno - 1])
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _set_first_tree(key, pos, value):
+    def edit(model):
+        model["trees"][0][key][pos] = value
+    return edit
+
+
+def _leaf_with_child(model):
+    tree = model["trees"][0]
+    leaf = tree["feature"].index(-1)
+    tree["left"][leaf] = len(tree["feature"]) - 1
+
+
+def _feature_out_of_range(model):
+    tree = model["trees"][0]
+    tree["feature"][0] = model["feature_count"]
+
+
+BAD_INPUTS = {
+    "features_short_row": ("train,predict", "features.csv, line 3", lambda d: _edit_csv_line(
+        d / "features.csv", 3, lambda line: line.rsplit(",", 1)[0])),
+    "features_non_numeric": ("train,predict", "features.csv, line 2", lambda d: _edit_csv_line(
+        d / "features.csv", 2, lambda line: line + "x")),
+    "manifest_format_version": ("predict", "format_version", lambda d: _edit_json(
+        d / "manifest.json", lambda m: m.update(format_version="2"))),
+    "manifest_no_items": ("predict", "missing key 'items'", lambda d: _edit_json(
+        d / "manifest.json", lambda m: m.pop("items"))),
+    "manifest_empty_items": ("ph,vectorize", "no items", lambda d: _edit_json(
+        d / "manifest.json", lambda m: m.update(items=[]))),
+    "manifest_no_rips": ("predict", "missing key 'rips'", lambda d: _edit_json(
+        d / "manifest.json", lambda m: m.pop("rips"))),
+    "manifest_no_histograms": ("predict", "missing key 'histograms'", lambda d: _edit_json(
+        d / "manifest.json", lambda m: m.pop("histograms"))),
+    "manifest_item_no_id": ("predict", "item 1 is missing key 'id'", lambda d: _edit_json(
+        d / "manifest.json", lambda m: m["items"][1].pop("id"))),
+    "manifest_item_no_cloud": ("predict", "item 1 is missing key 'cloud'", lambda d: _edit_json(
+        d / "manifest.json", lambda m: m["items"][1].pop("cloud"))),
+    "model_child_loops_to_root": ("predict", "does not lie after it", lambda d: _edit_json(
+        d / "model.json", _set_first_tree("left", 0, 0))),
+    "model_child_out_of_range": ("predict", "does not lie after it", lambda d: _edit_json(
+        d / "model.json", _set_first_tree("right", 0, 10 ** 6))),
+    "model_ragged_arrays": ("predict", "equal length", lambda d: _edit_json(
+        d / "model.json", lambda model: model["trees"][0]["value"].pop())),
+    "model_leaf_with_child": ("predict", "leaf", lambda d: _edit_json(
+        d / "model.json", _leaf_with_child)),
+    "model_feature_out_of_range": ("predict", "split feature", lambda d: _edit_json(
+        d / "model.json", _feature_out_of_range)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_inputs_exit_2_with_message(dataset, tmp_path, case):
+    """Each corrupt input fails fast with exit code 2 and a message naming
+    the culprit; run in a child process so a hang fails the test."""
+    stages, message, corrupt = BAD_INPUTS[case]
+    copy = tmp_path / "d"
+    shutil.copytree(dataset, copy)
+    corrupt(copy)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "phxai.cli", "pipeline",
+                           str(copy / "manifest.json"), "--stages", stages, "--trees", "3"],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 2, proc.stderr
+    assert message in proc.stderr
 
 
 def test_pipeline_missing_stage_inputs(tmp_path):

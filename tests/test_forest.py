@@ -44,8 +44,11 @@ def test_single_tree_prediction_is_leaf_value(rng):
     X = rng.normal(size=(40, 3))
     y = rng.normal(size=40)
     model = fr.train(X, y, fr.TrainConfig(n_trees=1, seed=3))
-    x = rng.normal(size=3)
-    assert fr.predict(model, x) == model.trees[0].predict_one(x)
+    probes = rng.normal(size=(10, 3))
+    tree = model.trees[0]
+    for x, row_pred in zip(probes, fr.predict_batch(model, probes)):
+        assert fr.predict(model, x) == row_pred
+        assert row_pred in tree.value[tree.feature < 0]
 
 
 def test_prediction_within_target_range(rng):
