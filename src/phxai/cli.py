@@ -89,6 +89,12 @@ def load_manifest(path) -> dict:
     for key in ("items", "rips", "histograms"):
         if key not in m:
             raise DataError(f"{path}: missing key {key!r}")
+    for section, keys in (("rips", ("max_dim", "max_radius")), ("histograms", ("h1", "h2"))):
+        if not isinstance(m[section], dict):
+            raise DataError(f"{path}: {section!r} is not an object")
+        for key in keys:
+            if key not in m[section]:
+                raise DataError(f"{path}: missing key '{section}.{key}'")
     if not m["items"]:
         raise DataError(f"{path}: no items")
     for k, item in enumerate(m["items"]):
@@ -228,21 +234,33 @@ def _filtration(m: dict, cloud: geo.PointCloud) -> ph.Filtration:
                          m["rips"]["max_radius"])
 
 
-def _stage_ph(m: dict, args) -> None:
+def _stage_ph(m: dict, args) -> dict:
+    """Write each item's diagram; return points, simplices per dimension and
+    pairs per dimension, summed over the items."""
     if args.max_radius is not None:
         m["rips"]["max_radius"] = args.max_radius
     out = m["_dir"] / "diagrams"
     out.mkdir(exist_ok=True)
+    simplices = [0] * (m["rips"]["max_dim"] + 1)
+    pair_counts = {"h1": 0, "h2": 0}
     for item in m["items"]:
-        pairs = ph.reduce(_filtration(m, _load_cloud(m, item)))
+        filtration = _filtration(m, _load_cloud(m, item))
+        pairs = ph.reduce(filtration)
         _write_json(out / f"{item['id']}.json", ph.diagrams_to_records(pairs))
+        for d in range(len(simplices)):
+            simplices[d] += filtration.count(d)
+        for p in pairs:
+            pair_counts[f"h{p.dimension}"] += 1
+    return {"points": simplices[0], "simplices": simplices, "pairs": pair_counts}
 
 
 def _pairs_from_records(records) -> list[ph.PersistencePair]:
     return [ph.PersistencePair(r["dim"], r["birth"], r["death"], -1, -1) for r in records]
 
 
-def _stage_vectorize(m: dict, args) -> None:
+def _stage_vectorize(m: dict, args) -> dict:
+    """Write landscapes and features.csv; return the pairs each histogram
+    dropped beyond its window, summed over the items."""
     h1s, h2s = _manifest_specs(m)
     overrides = (args.bins, args.sigma, args.h1_birth_max, args.h1_pers_max,
                  args.h2_birth_max, args.h2_pers_max)
@@ -259,12 +277,15 @@ def _stage_vectorize(m: dict, args) -> None:
     land_dir = m["_dir"] / "landscapes"
     land_dir.mkdir(exist_ok=True)
     feature_rows = []
+    dropped = {"h1": 0, "h2": 0}
     for item in m["items"]:
         dg_path = m["_dir"] / "diagrams" / f"{item['id']}.json"
         if not dg_path.exists():
             raise DataError(f"diagram for {item['id']} not found; run --stages ph first")
         records = json.loads(dg_path.read_text())
         img1, img2 = vec.landscapes(_pairs_from_records(records), h1s, h2s)
+        dropped["h1"] += img1.dropped
+        dropped["h2"] += img2.dropped
         _write_grid_csv(land_dir / f"{item['id']}_h1.csv", img1.values)
         _write_grid_csv(land_dir / f"{item['id']}_h2.csv", img2.values)
         feature_rows.append((item["id"], vec.features(img1, img2)))
@@ -275,6 +296,7 @@ def _stage_vectorize(m: dict, args) -> None:
     _atomic_write_text(m["_dir"] / "features.csv", "\n".join(lines) + "\n")
     m["_features"] = ([item_id for item_id, _ in feature_rows],
                       np.array([row for _, row in feature_rows]))
+    return {"dropped": dropped}
 
 
 def _stage_train(m: dict, args) -> float | None:
@@ -323,18 +345,17 @@ def cmd_pipeline(args) -> int:
     for s in stages:
         if s not in known:
             raise DataError(f"unknown stage {s!r}; choose from ph,vectorize,train,predict")
-    holdout_r2 = None
-    for s in stages:
-        result = known[s](m, args)
-        if s == "train":
-            holdout_r2 = result
+    results = {s: known[s](m, args) for s in stages}
     _save_manifest(m)
     log = {"command": "pipeline", "stages": stages, "trees": args.trees,
            "seed": args.seed, "holdout": args.holdout,
            "max_radius": m["rips"]["max_radius"],
            "histograms": m["histograms"]}
-    if holdout_r2 is not None:
-        log["holdout_r2"] = holdout_r2
+    for s in ("ph", "vectorize"):
+        if s in results:
+            log[s] = results[s]
+    if results.get("train") is not None:
+        log["holdout_r2"] = results["train"]
     _append_run_log(m["_dir"], log)
     return 0
 

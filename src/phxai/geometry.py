@@ -346,15 +346,31 @@ def synthetic_target(cloud: PointCloud, probe_radius: float,
     A geometric stand-in for an annotated adsorption level: it grows with
     the amount of probe-sized pore space around the structure. Empty clouds
     score 0 by definition. Invariant under point reordering.
+
+    Only centers inside the cloud's bounding box grown by 2*probe_radius can
+    count, so only those are queried (with one cell of slack against
+    rounding); the fraction is still taken over every center.
     """
     if probe_radius <= 0:
         raise ValueError("probe_radius must be positive")
     if len(cloud) == 0:
         return 0.0
     centers = _cell_centers(spec)
-    dist, _ = cKDTree(cloud.points).query(centers)
+    near = _centers_in_box(spec, cloud.points.min(axis=0) - 2.0 * probe_radius,
+                           cloud.points.max(axis=0) + 2.0 * probe_radius)
+    dist, _ = cKDTree(cloud.points).query(near)
     frac = np.count_nonzero((dist >= probe_radius) & (dist < 2.0 * probe_radius)) / len(centers)
     return 100.0 * frac
+
+
+def _centers_in_box(spec: GridSpec, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Cell centers of every cell that meets [lo, hi], plus one cell each side."""
+    c = spec.cells_per_axis
+    origin = np.array(spec.origin)
+    first = np.clip(np.floor((lo - origin) / spec.cell_size) - 1, 0, c).astype(int)
+    stop = np.clip(np.floor((hi - origin) / spec.cell_size) + 2, 0, c).astype(int)
+    block = _cell_centers(spec).reshape(c, c, c, 3)
+    return block[first[0]:stop[0], first[1]:stop[1], first[2]:stop[2]].reshape(-1, 3)
 
 
 def perturb(cloud: PointCloud, length: float, seed: int) -> PointCloud:

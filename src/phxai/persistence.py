@@ -8,6 +8,14 @@ reduction; `reduce` works per dimension with the clearing optimization and
 are kept as Python integers used as bitsets, which makes the Z/2 column
 addition a single XOR.
 
+`reduce` stops at the cloud's enclosing radius: the smallest, over all
+points, of a point's largest distance to any other point. From that radius
+on, the Rips complex is a cone over the point that attains it, so it has no
+homology in positive dimensions, and every H1 or H2 class born before it
+dies by it (Bauer 2021, Ripser). Columns above it can therefore only give
+zero-persistence pairs, which are dropped anyway; skipping them changes no
+kept pair. The effective cut for pairs is min(max_radius, enclosing radius).
+
 Classes still alive at the truncation radius are dropped: downstream
 histograms have finite axes, so unpaired classes can never be featurized.
 """
@@ -89,12 +97,13 @@ class Filtration:
     """
 
     def __init__(self, verts_by_dim, values_by_dim, max_dim: int, max_radius: float,
-                 n_points: int):
+                 n_points: int, enclosing_radius: float):
         self._verts = verts_by_dim    # dim -> (k, dim+1) int array, sorted
         self._values = values_by_dim  # dim -> (k,) float array
         self.max_dim = max_dim
         self.max_radius = max_radius
         self.n_points = n_points
+        self.enclosing_radius = enclosing_radius
         self._build_global_order()
         self._faces: dict[int, np.ndarray] = {}
         self._reduction = None
@@ -148,11 +157,12 @@ class Filtration:
     def faces(self, dim: int) -> np.ndarray:
         """(k, dim+1) array: positions (within dim-1) of each simplex's facets."""
         if dim not in self._faces:
-            self._faces[dim] = self._compute_faces(dim)
+            self._faces[dim] = self._compute_faces(dim, self.count(dim))
         return self._faces[dim]
 
-    def _compute_faces(self, dim: int) -> np.ndarray:
-        verts = self._verts[dim]
+    def _compute_faces(self, dim: int, stop: int) -> np.ndarray:
+        """Facet positions of the first `stop` simplices of dimension `dim`."""
+        verts = self._verts[dim][:stop]
         k = len(verts)
         if dim == 0 or k == 0:
             return np.zeros((k, 0), dtype=np.int64)
@@ -179,10 +189,20 @@ def _combo_array(n: int, k: int) -> np.ndarray:
     return np.array(list(combinations(range(n), k)), dtype=np.int64).reshape(-1, k)
 
 
+def _enclosing_radius(dist: np.ndarray) -> float:
+    """min over points of the largest distance to any other point; inf for
+    n <= 1. Read from the upper triangle, as the simplex diameters are."""
+    if len(dist) <= 1:
+        return math.inf
+    upper = np.triu(dist, 1)
+    return float((upper + upper.T).max(axis=1).min())
+
+
 def build_rips(dist: np.ndarray, max_dim: int, max_radius: float,
                max_simplices: int = _ENUMERATION_BUDGET) -> Filtration:
     """Enumerate every simplex of dimension <= max_dim whose diameter is
-    <= max_radius, sorted filtration-ready.
+    <= max_radius, sorted filtration-ready, and record the enclosing radius
+    at which `reduce` stops.
 
     Raises SimplexBudgetError instead of silently truncating when the
     candidate count exceeds `max_simplices`.
@@ -216,7 +236,8 @@ def build_rips(dist: np.ndarray, max_dim: int, max_radius: float,
         order = np.lexsort([verts[:, c] for c in range(p, -1, -1)] + [values])
         verts_by_dim[p] = verts[order]
         values_by_dim[p] = values[order]
-    return Filtration(verts_by_dim, values_by_dim, max_dim, float(max_radius), n)
+    return Filtration(verts_by_dim, values_by_dim, max_dim, float(max_radius), n,
+                      _enclosing_radius(dist))
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +245,10 @@ def build_rips(dist: np.ndarray, max_dim: int, max_radius: float,
 
 def _pairs_from_block(filtration: Filtration, p: int, skip: set[int]):
     """Reduce the dimension-p column block; rows are (p-1)-simplex positions.
+
+    Only the columns of value <= the enclosing radius are reduced. They are
+    a prefix of the block, and a prefix of the global order, so each of them
+    reduces exactly as it would in the full block.
 
     Columns are stored lazily: a column that claims a free pivot on sight is
     kept as its face tuple, and the int bitset is only materialized when a
@@ -233,7 +258,9 @@ def _pairs_from_block(filtration: Filtration, p: int, skip: set[int]):
     Returns the (pivot row -> column) pairing and a materializer for the
     reduced column bitset of any paired column.
     """
-    face_lists = np.sort(filtration.faces(p), axis=1).tolist()
+    stop = int(np.searchsorted(filtration._values[p], filtration.enclosing_radius,
+                               side="right"))
+    face_lists = np.sort(filtration._compute_faces(p, stop), axis=1).tolist()
     pivot_to_col: dict[int, int] = {}
     stored: dict[int, object] = {}
 
@@ -286,7 +313,11 @@ def reduce(filtration: Filtration) -> list[PersistencePair]:
 
     Works dimension by dimension from the top so that pivots found in the
     (p+1)-block clear known-zero columns of the p-block before they are
-    reduced. The reduced death columns are cached on the filtration for
+    reduced. Columns above the filtration's enclosing radius are not reduced:
+    the complex is a cone from there on, so no H1 or H2 class of positive
+    persistence is alive past it, and the pairs, their simplex indices and
+    their chains equal those of the full reduction (`reduce_naive`). The
+    reduced death columns are cached on the filtration for
     representative-cycle extraction.
     """
     if filtration._reduction is not None:

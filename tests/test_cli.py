@@ -157,6 +157,24 @@ BAD_INPUTS = {
         d / "manifest.json", lambda m: m.pop("rips"))),
     "manifest_no_histograms": ("predict", "missing key 'histograms'", lambda d: _edit_json(
         d / "manifest.json", lambda m: m.pop("histograms"))),
+    "manifest_no_rips_max_dim": ("ph", "manifest.json: missing key 'rips.max_dim'",
+                                 lambda d: _edit_json(
+        d / "manifest.json", lambda m: m["rips"].pop("max_dim"))),
+    "manifest_no_rips_max_radius": ("ph", "manifest.json: missing key 'rips.max_radius'",
+                                    lambda d: _edit_json(
+        d / "manifest.json", lambda m: m["rips"].pop("max_radius"))),
+    "manifest_no_histograms_h1": ("vectorize", "manifest.json: missing key 'histograms.h1'",
+                                  lambda d: _edit_json(
+        d / "manifest.json", lambda m: m["histograms"].pop("h1"))),
+    "manifest_no_histograms_h2": ("ph,vectorize", "manifest.json: missing key 'histograms.h2'",
+                                  lambda d: _edit_json(
+        d / "manifest.json", lambda m: m["histograms"].pop("h2"))),
+    "manifest_rips_not_object": ("ph", "manifest.json: 'rips' is not an object",
+                                 lambda d: _edit_json(
+        d / "manifest.json", lambda m: m.update(rips=[3, 35.8]))),
+    "manifest_histograms_not_object": ("vectorize", "manifest.json: 'histograms' is not an object",
+                                       lambda d: _edit_json(
+        d / "manifest.json", lambda m: m.update(histograms="h1"))),
     "manifest_item_no_id": ("predict", "item 1 is missing key 'id'", lambda d: _edit_json(
         d / "manifest.json", lambda m: m["items"][1].pop("id"))),
     "manifest_item_no_cloud": ("predict", "item 1 is missing key 'cloud'", lambda d: _edit_json(
@@ -189,6 +207,39 @@ def test_bad_inputs_exit_2_with_message(dataset, tmp_path, case):
                           env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 2, proc.stderr
     assert message in proc.stderr
+
+
+def test_pipeline_run_log_records_stage_counts(dataset, tmp_path):
+    """The pipeline records of run_log.jsonl carry the ph and vectorize
+    counts, summed over the items: recomputed here cloud by cloud, with
+    histogram windows narrow enough that pairs are dropped."""
+    copy = tmp_path / "d"
+    shutil.copytree(dataset, copy)
+    assert run("pipeline", copy / "manifest.json", "--stages", "vectorize",
+               "--h1-pers-max", 1.0, "--h2-pers-max", 0.5) == 0
+    records = [r for r in map(json.loads, (copy / "run_log.jsonl").read_text().splitlines())
+               if r["command"] == "pipeline"]
+    ph_record, vectorize_record = records[0], records[-1]
+    assert "ph" not in vectorize_record
+    m = cli.load_manifest(copy / "manifest.json")
+    h1s, h2s = cli._manifest_specs(m)
+    simplices = [0] * 4
+    pairs = {"h1": 0, "h2": 0}
+    dropped = {"h1": 0, "h2": 0}
+    for item in m["items"]:
+        cloud = geo.load_xyz(dataset / item["cloud"])
+        f = ph.build_rips(geo.pairwise_distances(cloud), 3, m["rips"]["max_radius"])
+        simplices = [total + f.count(d) for d, total in enumerate(simplices)]
+        item_pairs = ph.reduce(f)
+        for dim in (1, 2):
+            pairs[f"h{dim}"] += len(ph.diagram(item_pairs, dim))
+        img1, img2 = vec.landscapes(item_pairs, h1s, h2s)
+        dropped["h1"] += img1.dropped
+        dropped["h2"] += img2.dropped
+    assert ph_record["ph"] == {"points": simplices[0], "simplices": simplices, "pairs": pairs}
+    assert vectorize_record["vectorize"] == {"dropped": dropped}
+    assert dropped["h1"] > 0 and dropped["h2"] > 0
+    assert simplices[0] == sum(len(geo.load_xyz(dataset / i["cloud"])) for i in m["items"])
 
 
 def test_pipeline_missing_stage_inputs(tmp_path):

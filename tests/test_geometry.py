@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from phxai import geometry as geo
 from conftest import random_cloud
@@ -142,6 +143,30 @@ def test_target_single_point_matches_cell_scan():
                     count += 1
     expected = 100.0 * count / total
     assert geo.synthetic_target(cloud, r, spec) == pytest.approx(expected, abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 30), st.floats(0.25, 8.0),
+       st.sampled_from([geo.GridSpec((-6.0, -6.0, -6.0), 1.5, 10),
+                        geo.GridSpec((2.0, -3.0, 0.5), 0.75, 23)]))
+def test_target_equals_dense_query(seed, n, probe_radius, spec):
+    """Querying only the centers near the cloud changes no bit of the target:
+    oracle is a query at every cell center, some points outside the cube and
+    some on cell faces."""
+    rng = np.random.default_rng(seed)
+    origin = np.array(spec.origin)
+    pts = rng.uniform(origin - 0.3 * spec.side, origin + 1.3 * spec.side, size=(n, 3))
+    on_face = rng.random((n, 3)) < 0.3
+    faces = origin + rng.integers(-2, spec.cells_per_axis + 3, size=(n, 3)) * spec.cell_size
+    pts[on_face] = faces[on_face]
+    c = spec.cells_per_axis
+    ax = origin[:, None] + (np.arange(c) + 0.5) * spec.cell_size
+    gx, gy, gz = np.meshgrid(ax[0], ax[1], ax[2], indexing="ij")
+    centers = np.column_stack([gx.ravel(), gy.ravel(), gz.ravel()])
+    dist, _ = cKDTree(pts).query(centers)
+    shell = np.count_nonzero((dist >= probe_radius) & (dist < 2.0 * probe_radius))
+    expected = 100.0 * (shell / len(centers))
+    assert geo.synthetic_target(geo.PointCloud(pts), probe_radius, spec) == expected
 
 
 def test_target_permutation_invariant(rng):

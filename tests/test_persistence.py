@@ -1,5 +1,5 @@
 import math
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -17,10 +17,6 @@ def unit_octahedron():
     s = 1 / math.sqrt(2)
     return geo.PointCloud(np.array([[s, 0, 0], [-s, 0, 0], [0, s, 0],
                                     [0, -s, 0], [0, 0, s], [0, 0, -s]]))
-
-
-def key_multiset(pairs):
-    return sorted((p.dimension, p.birth, p.death) for p in pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -111,13 +107,36 @@ def test_octahedron_h2_pair():
     assert h2[0].death == pytest.approx(math.sqrt(2), abs=1e-12)
 
 
+def small_generator_clouds(max_points=16):
+    """Lattice clouds from the structure generator: many tied distances."""
+    clouds = (geo.generate_structure(v) for v in geo.iter_param_vectors()[::17])
+    return [c for c in clouds if len(c) <= max_points]
+
+
 def test_reduce_matches_naive_on_random_clouds(rng):
-    for _ in range(40):
-        n = int(rng.integers(8, 15))
-        cloud = random_cloud(rng, n)
+    """`reduce` stops at the enclosing radius; the full-matrix `reduce_naive`
+    must still give the same pairs, simplex indices included, at max_radius
+    below, equal to and above that radius."""
+    clouds = [random_cloud(rng, int(rng.integers(8, 15))) for _ in range(40)]
+    generated = small_generator_clouds()
+    assert len(generated) >= 5
+    for _ in range(5):
+        base = random_cloud(rng, int(rng.integers(6, 11)))
+        dup = rng.integers(0, len(base), size=3)
+        clouds.append(geo.PointCloud(np.vstack([base.points, base.points[dup]])))
+    clouds += [geo.PointCloud(rng.normal(size=(n, 3))) for n in (0, 1, 2)]
+    for cloud, is_generated in [(c, False) for c in clouds] + [(c, True) for c in generated]:
         d = geo.pairwise_distances(cloud)
-        f = ph.build_rips(d, 3, 2.0 * d.max())
-        assert key_multiset(ph.reduce(f)) == key_multiset(ph.reduce_naive(f))
+        enclosing = d.max(axis=1).min() if len(cloud) > 1 else math.inf
+        radii = [r for r in (0.8 * enclosing, enclosing) if 0 < r < math.inf]
+        for r, max_dim in product(radii + [2.0 * d.max(initial=0.0) + 1.0], (2, 3)):
+            f = ph.build_rips(d, max_dim, r)
+            assert f.enclosing_radius == enclosing
+            pairs = ph.reduce(f)
+            assert pairs == ph.reduce_naive(f)
+            if is_generated:
+                for pair in pairs:
+                    assert boundary_is_zero(ph.representative_cycle(f, pair).simplices)
 
 
 def test_naive_empty_filtration():
