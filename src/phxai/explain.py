@@ -139,7 +139,7 @@ def param_attribution(params_table, y, target_row: int) -> ParamAttribution:
     """Exact Cohort Shapley over the four categorical generator parameters."""
     rows = [p.as_tuple() if hasattr(p, "as_tuple") else tuple(p) for p in params_table]
     X = np.array(rows, dtype=object)
-    cohort = similarity_matrix(X, target_row, SimilaritySpec(kinds="categorical"))
+    cohort = similarity_matrix(X, target_row, SimilaritySpec(kind="categorical"))
     att = cohort_shapley(cohort, np.asarray(y, dtype=float))
     return ParamAttribution(dict(zip(PARAM_NAMES, map(float, att.values))),
                             att.baseline, att.total)
@@ -217,7 +217,7 @@ def higher_order(params_table, dataset_features, predictions, target_row: int,
 
     rows = [p.as_tuple() if hasattr(p, "as_tuple") else tuple(p) for p in params_table]
     param_cohort = similarity_matrix(np.array(rows, dtype=object), target_row,
-                                     SimilaritySpec(kinds="categorical"))
+                                     SimilaritySpec(kind="categorical"))
     flat_maps = {name: np.zeros(d) for name in PARAM_NAMES}
     baseline = np.zeros(d)
     computed = np.zeros(d, dtype=bool)

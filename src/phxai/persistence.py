@@ -8,14 +8,6 @@ reduction; `reduce` works per dimension with the clearing optimization and
 are kept as Python integers used as bitsets, which makes the Z/2 column
 addition a single XOR.
 
-`reduce` stops at the cloud's enclosing radius: the smallest, over all
-points, of a point's largest distance to any other point. From that radius
-on, the Rips complex is a cone over the point that attains it, so it has no
-homology in positive dimensions, and every H1 or H2 class born before it
-dies by it (Bauer 2021, Ripser). Columns above it can therefore only give
-zero-persistence pairs, which are dropped anyway; skipping them changes no
-kept pair. The effective cut for pairs is min(max_radius, enclosing radius).
-
 Classes still alive at the truncation radius are dropped: downstream
 histograms have finite axes, so unpaired classes can never be featurized.
 """
@@ -36,16 +28,6 @@ _ENUMERATION_BUDGET = 3_000_000
 
 class SimplexBudgetError(RuntimeError):
     """The cloud would generate more simplices than the configured budget."""
-
-
-@dataclass(frozen=True)
-class Simplex:
-    vertices: tuple[int, ...]
-    value: float
-
-    @property
-    def dimension(self) -> int:
-        return len(self.vertices) - 1
 
 
 @dataclass(frozen=True)
@@ -92,18 +74,15 @@ class RepresentativeCycle:
 class Filtration:
     """Simplices of dimension <= max_dim sorted by (value, dimension, vertices).
 
-    Storage is columnar per dimension; `simplex(g)` and iteration expose the
-    usual object view. Faces of every simplex precede it in the global order.
+    Storage is columnar per dimension. Faces of every simplex precede it in
+    the global order.
     """
 
-    def __init__(self, verts_by_dim, values_by_dim, max_dim: int, max_radius: float,
-                 n_points: int, enclosing_radius: float):
+    def __init__(self, verts_by_dim, values_by_dim, max_dim: int, n_points: int):
         self._verts = verts_by_dim    # dim -> (k, dim+1) int array, sorted
         self._values = values_by_dim  # dim -> (k,) float array
         self.max_dim = max_dim
-        self.max_radius = max_radius
         self.n_points = n_points
-        self.enclosing_radius = enclosing_radius
         self._build_global_order()
         self._faces: dict[int, np.ndarray] = {}
         self._reduction = None
@@ -139,15 +118,6 @@ class Filtration:
     def count(self, dim: int) -> int:
         return len(self._values[dim])
 
-    def simplex(self, g: int) -> Simplex:
-        p = int(self._global_dim[g])
-        pos = int(self._global_pos[g])
-        return Simplex(tuple(int(v) for v in self._verts[p][pos]),
-                       float(self._values[p][pos]))
-
-    def __iter__(self):
-        return (self.simplex(g) for g in range(len(self)))
-
     def global_index(self, dim: int, pos: int) -> int:
         return int(self._global_of[dim][pos])
 
@@ -156,13 +126,9 @@ class Filtration:
 
     def faces(self, dim: int) -> np.ndarray:
         """(k, dim+1) array: positions (within dim-1) of each simplex's facets."""
-        if dim not in self._faces:
-            self._faces[dim] = self._compute_faces(dim, self.count(dim))
-        return self._faces[dim]
-
-    def _compute_faces(self, dim: int, stop: int) -> np.ndarray:
-        """Facet positions of the first `stop` simplices of dimension `dim`."""
-        verts = self._verts[dim][:stop]
+        if dim in self._faces:
+            return self._faces[dim]
+        verts = self._verts[dim]
         k = len(verts)
         if dim == 0 or k == 0:
             return np.zeros((k, 0), dtype=np.int64)
@@ -181,6 +147,7 @@ class Filtration:
             face = np.delete(verts, drop, axis=1)
             loc = np.searchsorted(sub_sorted, encode(face))
             out[:, drop] = sub_order[loc]
+        self._faces[dim] = out
         return out
 
 
@@ -200,9 +167,17 @@ def _enclosing_radius(dist: np.ndarray) -> float:
 
 def build_rips(dist: np.ndarray, max_dim: int, max_radius: float,
                max_simplices: int = _ENUMERATION_BUDGET) -> Filtration:
-    """Enumerate every simplex of dimension <= max_dim whose diameter is
-    <= max_radius, sorted filtration-ready, and record the enclosing radius
-    at which `reduce` stops.
+    """Enumerate every simplex of dimension <= max_dim whose diameter is at
+    most min(max_radius, enclosing radius), sorted filtration-ready.
+
+    The enclosing radius is the smallest, over all points, of a point's
+    largest distance to any other point. From that radius on, the Rips
+    complex is a cone over the point that attains it, so it has no homology
+    in positive dimensions, and every H1 or H2 class born before it dies by
+    it (Bauer 2021, Ripser). Simplices above it could only give
+    zero-persistence pairs. The cut keeps every simplex of value <= the cut,
+    a prefix of the (value, dimension, vertices) order, so global simplex
+    indices, pairs and reduced chains are those of the uncut complex.
 
     Raises SimplexBudgetError instead of silently truncating when the
     candidate count exceeds `max_simplices`.
@@ -219,6 +194,7 @@ def build_rips(dist: np.ndarray, max_dim: int, max_radius: float,
             f"{n} points imply up to {total_candidates} simplices,"
             f" over the budget of {max_simplices}")
 
+    cut = min(max_radius, _enclosing_radius(dist))
     verts_by_dim = {0: np.arange(n, dtype=np.int64)[:, None]}
     values_by_dim = {0: np.zeros(n)}
     for p in range(1, max_dim + 1):
@@ -231,13 +207,12 @@ def build_rips(dist: np.ndarray, max_dim: int, max_radius: float,
         for a in range(p + 1):
             for b in range(a + 1, p + 1):
                 np.maximum(diam, dist[combos[:, a], combos[:, b]], out=diam)
-        keep = diam <= max_radius
+        keep = diam <= cut
         verts, values = combos[keep], diam[keep]
         order = np.lexsort([verts[:, c] for c in range(p, -1, -1)] + [values])
         verts_by_dim[p] = verts[order]
         values_by_dim[p] = values[order]
-    return Filtration(verts_by_dim, values_by_dim, max_dim, float(max_radius), n,
-                      _enclosing_radius(dist))
+    return Filtration(verts_by_dim, values_by_dim, max_dim, n)
 
 
 # ---------------------------------------------------------------------------
@@ -245,10 +220,6 @@ def build_rips(dist: np.ndarray, max_dim: int, max_radius: float,
 
 def _pairs_from_block(filtration: Filtration, p: int, skip: set[int]):
     """Reduce the dimension-p column block; rows are (p-1)-simplex positions.
-
-    Only the columns of value <= the enclosing radius are reduced. They are
-    a prefix of the block, and a prefix of the global order, so each of them
-    reduces exactly as it would in the full block.
 
     Columns are stored lazily: a column that claims a free pivot on sight is
     kept as its face tuple, and the int bitset is only materialized when a
@@ -258,9 +229,7 @@ def _pairs_from_block(filtration: Filtration, p: int, skip: set[int]):
     Returns the (pivot row -> column) pairing and a materializer for the
     reduced column bitset of any paired column.
     """
-    stop = int(np.searchsorted(filtration._values[p], filtration.enclosing_radius,
-                               side="right"))
-    face_lists = np.sort(filtration._compute_faces(p, stop), axis=1).tolist()
+    face_lists = np.sort(filtration.faces(p), axis=1).tolist()
     pivot_to_col: dict[int, int] = {}
     stored: dict[int, object] = {}
 
@@ -313,11 +282,7 @@ def reduce(filtration: Filtration) -> list[PersistencePair]:
 
     Works dimension by dimension from the top so that pivots found in the
     (p+1)-block clear known-zero columns of the p-block before they are
-    reduced. Columns above the filtration's enclosing radius are not reduced:
-    the complex is a cone from there on, so no H1 or H2 class of positive
-    persistence is alive past it, and the pairs, their simplex indices and
-    their chains equal those of the full reduction (`reduce_naive`). The
-    reduced death columns are cached on the filtration for
+    reduced. The reduced death columns are cached on the filtration for
     representative-cycle extraction.
     """
     if filtration._reduction is not None:

@@ -127,7 +127,8 @@ def _blur_axis(arr: np.ndarray, sigma_bins: float) -> np.ndarray:
     n = arr.shape[0]
     out = np.zeros_like(arr)
     norm = np.zeros(n)
-    for k in range(-radius, radius + 1):
+    reach = min(radius, n - 1)  # a tap |k| >= n has no in-bounds source cell
+    for k in range(-reach, reach + 1):
         lo, hi = max(0, -k), min(n, n - k)
         out[lo:hi] += w[k + radius] * arr[lo + k:hi + k]
         norm[lo:hi] += w[k + radius]

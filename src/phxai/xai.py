@@ -29,24 +29,18 @@ class CohortSizeError(ValueError):
 
 @dataclass(frozen=True)
 class SimilaritySpec:
-    """Per-feature similarity rule: continuous features match within
-    ratio * (column max - column min); categorical features match exactly.
+    """Similarity rule applied to every feature: continuous features match
+    within ratio * (column max - column min); categorical features match
+    exactly."""
 
-    `kinds` is either one kind applied to every feature or a per-feature
-    sequence."""
-
-    kinds: object = "continuous"
+    kind: str = "continuous"
     ratio: float = DEFAULT_RATIO
 
     def __post_init__(self):
+        if self.kind not in ("continuous", "categorical"):
+            raise ValueError(f"unknown similarity kind {self.kind!r}")
         if self.ratio <= 0 or self.ratio > 1:
             raise ValueError("ratio must be in (0, 1]")
-
-    def kind_of(self, j: int) -> str:
-        k = self.kinds if isinstance(self.kinds, str) else self.kinds[j]
-        if k not in ("continuous", "categorical"):
-            raise ValueError(f"unknown similarity kind {k!r}")
-        return k
 
 
 @dataclass
@@ -97,18 +91,14 @@ def similarity_matrix(X, target_row: int, spec: SimilaritySpec = SimilaritySpec(
     a constant column therefore marks every row similar.
     """
     X = np.asarray(X)
-    n, d = X.shape
+    n, _ = X.shape
     if not 0 <= target_row < n:
         raise ValueError("target_row out of range")
-    S = np.zeros((n, d), dtype=np.uint8)
-    for j in range(d):
-        col = X[:, j]
-        if spec.kind_of(j) == "categorical":
-            S[:, j] = col == col[target_row]
-        else:
-            col = col.astype(float)
-            thr = spec.ratio * (float(col.max()) - float(col.min()))
-            S[:, j] = np.abs(col - col[target_row]) <= thr
+    if spec.kind == "categorical":
+        S = X == X[target_row]
+    else:
+        X = X.astype(float)
+        S = np.abs(X - X[target_row]) <= spec.ratio * (X.max(axis=0) - X.min(axis=0))
     return CohortIndicatorMatrix(S, target_row)
 
 

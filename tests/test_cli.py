@@ -242,6 +242,15 @@ def test_pipeline_run_log_records_stage_counts(dataset, tmp_path):
     assert simplices[0] == sum(len(geo.load_xyz(dataset / i["cloud"])) for i in m["items"])
 
 
+def test_pipeline_blur_wider_than_axis(dataset, tmp_path):
+    """At --h2-pers-max 0.2 the H2 persistence-axis blur kernel reaches 121
+    bins, past the 54-bin axis."""
+    copy = tmp_path / "d"
+    shutil.copytree(dataset, copy)
+    assert run("pipeline", copy / "manifest.json", "--stages", "vectorize",
+               "--h2-pers-max", 0.2) == 0
+
+
 def test_pipeline_missing_stage_inputs(tmp_path):
     out = tmp_path / "d"
     run("gen-data", "--count", 3, "--seed", 2, "--out", out)

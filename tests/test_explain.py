@@ -82,7 +82,7 @@ def test_param_attribution_matches_permutation_oracle(rng):
 
         rows = [p.as_tuple() for p in table]
         X = np.array(rows, dtype=object)
-        cohort = xai.similarity_matrix(X, target, xai.SimilaritySpec(kinds="categorical"))
+        cohort = xai.similarity_matrix(X, target, xai.SimilaritySpec(kind="categorical"))
         phi = np.zeros(4)
         perms = list(permutations(range(4)))
         for perm in perms:

@@ -19,17 +19,43 @@ def unit_octahedron():
                                     [0, -s, 0], [0, 0, s], [0, 0, -s]]))
 
 
+def simplices(f):
+    """(value, dimension, vertices) of every simplex, in global filtration order."""
+    out = [None] * len(f)
+    for p in range(f.max_dim + 1):
+        for pos in range(f.count(p)):
+            out[f.global_index(p, pos)] = (f.value(p, pos), p,
+                                           tuple(int(v) for v in f._verts[p][pos]))
+    return out
+
+
+def uncut_filtration(d, max_dim, r):
+    """Every simplex of diameter <= r, the enclosing-radius cut not applied,
+    enumerated subset by subset."""
+    n = len(d)
+    verts, values = {}, {}
+    for p in range(max_dim + 1):
+        keyed = sorted((max((d[a, b] for a, b in combinations(sub, 2)), default=0.0), sub)
+                       for sub in combinations(range(n), p + 1))
+        kept = [(v, sub) for v, sub in keyed if v <= r]
+        verts[p] = np.array([sub for _, sub in kept], dtype=np.int64).reshape(-1, p + 1)
+        values[p] = np.array([v for v, _ in kept], dtype=float)
+    return ph.Filtration(verts, values, max_dim, n)
+
+
 # ---------------------------------------------------------------------------
 # Filtration construction
 
 def test_triangle_complete_complex():
+    """The complex is built up to the enclosing radius (vertex 2's largest
+    distance, one ulp below 1), so the unit edge and the triangle are cut."""
     pts = geo.PointCloud(np.array([[0, 0, 0], [1, 0, 0], [0.5, math.sqrt(3) / 2, 0]]))
-    f = ph.build_rips(geo.pairwise_distances(pts), 2, 2.0)
-    sims = list(f)
-    assert len(sims) == 7  # 3 vertices + 3 edges + 1 triangle
-    assert sum(1 for s in sims if s.dimension == 1) == 3
-    tri = [s for s in sims if s.dimension == 2][0]
-    assert tri.value == pytest.approx(1.0)
+    d = geo.pairwise_distances(pts)
+    enclosing = ph._enclosing_radius(d)
+    assert enclosing == pytest.approx(1.0) and enclosing < 1.0
+    f = ph.build_rips(d, 2, 2.0)
+    assert simplices(f) == [(0.0, 0, (0,)), (0.0, 0, (1,)), (0.0, 0, (2,)),
+                            (enclosing, 1, (0, 2)), (enclosing, 1, (1, 2))]
 
 
 def test_cutoff_drops_everything_but_vertices():
@@ -44,11 +70,12 @@ def test_simplex_count_matches_subset_enumeration(rng):
         d = geo.pairwise_distances(cloud)
         r = 0.8 * d.max()
         f = ph.build_rips(d, 3, r)
+        cut = min(r, ph._enclosing_radius(d))
         expected = 10
         for k in (2, 3, 4):
             for sub in combinations(range(10), k):
                 diam = max(d[a, b] for a, b in combinations(sub, 2))
-                if diam <= r:
+                if diam <= cut:
                     expected += 1
         assert len(f) == expected
 
@@ -56,18 +83,19 @@ def test_simplex_count_matches_subset_enumeration(rng):
 def test_faces_precede_cofaces(rng):
     cloud = random_cloud(rng, 9)
     f = ph.build_rips(geo.pairwise_distances(cloud), 3, 10.0)
-    position = {s.vertices: g for g, s in enumerate(f)}
-    for g, s in enumerate(f):
-        if s.dimension == 0:
+    sims = simplices(f)
+    position = {verts: g for g, (_, _, verts) in enumerate(sims)}
+    for g, (_, dim, verts) in enumerate(sims):
+        if dim == 0:
             continue
-        for face in combinations(s.vertices, s.dimension):
+        for face in combinations(verts, dim):
             assert position[face] < g
 
 
 def test_filtration_order_is_sorted(rng):
     cloud = random_cloud(rng, 8)
     f = ph.build_rips(geo.pairwise_distances(cloud), 3, 10.0)
-    keys = [(s.value, s.dimension, s.vertices) for s in f]
+    keys = simplices(f)
     assert keys == sorted(keys)
 
 
@@ -114,9 +142,9 @@ def small_generator_clouds(max_points=16):
 
 
 def test_reduce_matches_naive_on_random_clouds(rng):
-    """`reduce` stops at the enclosing radius; the full-matrix `reduce_naive`
-    must still give the same pairs, simplex indices included, at max_radius
-    below, equal to and above that radius."""
+    """`build_rips` stops at the enclosing radius; `reduce_naive` on the uncut
+    complex must still give the same pairs, simplex indices included, at
+    max_radius below, equal to and above that radius."""
     clouds = [random_cloud(rng, int(rng.integers(8, 15))) for _ in range(40)]
     generated = small_generator_clouds()
     assert len(generated) >= 5
@@ -128,15 +156,18 @@ def test_reduce_matches_naive_on_random_clouds(rng):
     for cloud, is_generated in [(c, False) for c in clouds] + [(c, True) for c in generated]:
         d = geo.pairwise_distances(cloud)
         enclosing = d.max(axis=1).min() if len(cloud) > 1 else math.inf
+        assert ph._enclosing_radius(d) == enclosing
         radii = [r for r in (0.8 * enclosing, enclosing) if 0 < r < math.inf]
         for r, max_dim in product(radii + [2.0 * d.max(initial=0.0) + 1.0], (2, 3)):
             f = ph.build_rips(d, max_dim, r)
-            assert f.enclosing_radius == enclosing
+            uncut = uncut_filtration(d, max_dim, r)
             pairs = ph.reduce(f)
-            assert pairs == ph.reduce_naive(f)
+            assert pairs == ph.reduce_naive(uncut)
             if is_generated:
                 for pair in pairs:
-                    assert boundary_is_zero(ph.representative_cycle(f, pair).simplices)
+                    cycle = ph.representative_cycle(f, pair)
+                    assert cycle == ph.representative_cycle(uncut, pair)
+                    assert boundary_is_zero(cycle.simplices)
 
 
 def test_naive_empty_filtration():

@@ -87,6 +87,18 @@ def test_blur_constant_image_unchanged():
     assert np.allclose(out.values, 3.25, atol=1e-12)
 
 
+@pytest.mark.parametrize("persistence_max", [0.2, 0.44])
+def test_blur_kernel_reaches_past_axis(persistence_max):
+    """Persistence-axis kernel radius (3 sigma in bins) of 121 and 55 bins,
+    both at least the 54-bin axis length."""
+    spec = vec.HistogramSpec(2, 27.0, persistence_max, blur_sigma=0.15)
+    assert int(3 * 0.15 * 54 / persistence_max) >= 54
+    flat = vec.gaussian_blur(vec.LandscapeImage(np.full((54, 54), 3.25), spec))
+    assert np.allclose(flat.values, 3.25, atol=1e-12)
+    out = vec.gaussian_blur(vec.histogram(make_diagram(2, [(13.5, 13.6)]), spec)).values
+    assert np.isfinite(out).all() and (out >= 0).all() and out.sum() > 0
+
+
 def test_blur_preserves_dropped_tally():
     img = vec.histogram(make_diagram(1, [(1.0, 2.0), (1.0, 30.0)]), vec.default_spec(1))
     assert vec.gaussian_blur(img).dropped == 1

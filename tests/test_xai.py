@@ -2,6 +2,8 @@ from itertools import permutations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phxai import xai
 
@@ -40,7 +42,7 @@ def test_target_row_all_ones(rng):
 
 def test_categorical_similarity_is_equality():
     X = np.array([["a", "x"], ["a", "y"], ["b", "x"]], dtype=object)
-    cohort = xai.similarity_matrix(X, 0, xai.SimilaritySpec(kinds="categorical"))
+    cohort = xai.similarity_matrix(X, 0, xai.SimilaritySpec(kind="categorical"))
     assert cohort.S.tolist() == [[1, 1], [1, 0], [0, 1]]
 
 
@@ -55,6 +57,46 @@ def test_constant_column_all_similar():
     X = np.column_stack([np.full(5, 2.0), np.arange(5.0)])
     cohort = xai.similarity_matrix(X, 3)
     assert (cohort.S[:, 0] == 1).all()
+
+
+def test_unknown_kind_rejected():
+    with pytest.raises(ValueError, match="ordinal"):
+        xai.SimilaritySpec(kind="ordinal")
+
+
+def similarity_per_column(X, target_row, spec):
+    """The definition, one column at a time."""
+    S = np.zeros(X.shape, dtype=np.uint8)
+    for j in range(X.shape[1]):
+        col = X[:, j]
+        if spec.kind == "categorical":
+            S[:, j] = col == col[target_row]
+        else:
+            col = col.astype(float)
+            thr = spec.ratio * (float(col.max()) - float(col.min()))
+            S[:, j] = np.abs(col - col[target_row]) <= thr
+    return S
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(1, 8), st.integers(0, 6))
+def test_similarity_matrix_matches_per_column_definition(data, n, d):
+    """Small integers with power-of-two ratios put rows exactly at the
+    threshold, and the last column is constant. Categorical data is an
+    object array mixing strings ("none" included) and numbers, as parameter
+    tables are."""
+    target = data.draw(st.integers(0, n - 1))
+    if data.draw(st.booleans()):
+        cell, dtype = st.sampled_from(["none", "a", 1, 1.0, 2.5]), object
+        spec = xai.SimilaritySpec(kind="categorical")
+    else:
+        cell, dtype = st.one_of(st.integers(-4, 4).map(float), st.floats(-1e3, 1e3)), float
+        spec = xai.SimilaritySpec(ratio=data.draw(st.sampled_from([0.01, 0.125, 0.25, 0.5, 1.0])))
+    rows = data.draw(st.lists(st.lists(cell, min_size=d, max_size=d), min_size=n, max_size=n))
+    X = np.concatenate([np.array(rows, dtype=dtype).reshape(n, d),
+                        np.full((n, 1), data.draw(cell), dtype=dtype)], axis=1)
+    cohort = xai.similarity_matrix(X, target, spec)
+    assert np.array_equal(cohort.S, similarity_per_column(X, target, spec))
 
 
 # ---------------------------------------------------------------------------
