@@ -39,12 +39,6 @@ class DataError(ValueError):
 # ---------------------------------------------------------------------------
 # File helpers
 
-def _atomic_write_text(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
-
-
 def _atomic_write_bytes(path: Path, data: bytes) -> None:
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_bytes(data)
@@ -52,12 +46,12 @@ def _atomic_write_bytes(path: Path, data: bytes) -> None:
 
 
 def _write_json(path: Path, obj) -> None:
-    _atomic_write_text(path, json.dumps(obj, sort_keys=True, indent=1) + "\n")
+    _atomic_write_bytes(path, (json.dumps(obj, sort_keys=True, indent=1) + "\n").encode())
 
 
 def _write_grid_csv(path: Path, grid: np.ndarray) -> None:
     lines = [",".join(repr(float(v)) for v in row) for row in grid]
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    _atomic_write_bytes(path, ("\n".join(lines) + "\n").encode())
 
 
 def read_grid_csv(path) -> np.ndarray:
@@ -95,12 +89,30 @@ def load_manifest(path) -> dict:
         for key in keys:
             if key not in m[section]:
                 raise DataError(f"{path}: missing key '{section}.{key}'")
+    max_dim, max_radius = m["rips"]["max_dim"], m["rips"]["max_radius"]
+    if isinstance(max_dim, bool) or not isinstance(max_dim, int):
+        raise DataError(f"{path}: 'rips.max_dim' must be an integer, not {max_dim!r}")
+    if isinstance(max_radius, bool) or not isinstance(max_radius, (int, float)):
+        raise DataError(f"{path}: 'rips.max_radius' must be a number, not {max_radius!r}")
+    for key in ("h1", "h2"):
+        try:
+            vec.HistogramSpec.from_dict(m["histograms"][key])
+        except KeyError as exc:
+            raise DataError(f"{path}: missing key 'histograms.{key}.{exc.args[0]}'") from None
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"{path}: 'histograms.{key}': {exc}") from None
+    if not isinstance(m["items"], list):
+        raise DataError(f"{path}: 'items' must be a list")
     if not m["items"]:
         raise DataError(f"{path}: no items")
     for k, item in enumerate(m["items"]):
+        if not isinstance(item, dict):
+            raise DataError(f"{path}: 'items.{k}' must be an object, not {item!r}")
         for key in ("id", "cloud"):
             if key not in item:
                 raise DataError(f"{path}: item {k} is missing key {key!r}")
+            if not isinstance(item[key], str):
+                raise DataError(f"{path}: 'items.{k}.{key}' must be a string")
     ids = [item["id"] for item in m["items"]]
     if len(set(ids)) != len(ids):
         raise DataError("manifest item ids are not unique")
@@ -293,7 +305,7 @@ def _stage_vectorize(m: dict, args) -> dict:
     lines = [header]
     for item_id, row in feature_rows:
         lines.append(item_id + "," + ",".join(repr(float(v)) for v in row))
-    _atomic_write_text(m["_dir"] / "features.csv", "\n".join(lines) + "\n")
+    _atomic_write_bytes(m["_dir"] / "features.csv", ("\n".join(lines) + "\n").encode())
     m["_features"] = ([item_id for item_id, _ in feature_rows],
                       np.array([row for _, row in feature_rows]))
     return {"dropped": dropped}
@@ -320,8 +332,8 @@ def _stage_train(m: dict, args) -> float | None:
         else:
             imp = forest_mod.permutation_importance(model, X[:n_train], y[:n_train],
                                                     repeats=3, seed=args.seed)
-        _atomic_write_text(m["_dir"] / f"importance_{args.importance}.csv",
-                           "\n".join(repr(float(v)) for v in imp) + "\n")
+        _atomic_write_bytes(m["_dir"] / f"importance_{args.importance}.csv",
+                            ("\n".join(repr(float(v)) for v in imp) + "\n").encode())
     if holdout:
         score = forest_mod.r2(forest_mod.predict_batch(model, X[n_train:]), y[n_train:])
         print(f"holdout R^2 over {holdout} items: {score:.4f}")
@@ -497,8 +509,7 @@ def cmd_render(args) -> int:
     vmin, vmax = float(grid.min()), float(grid.max())
     if args.palette == "diverging":
         scale = max(abs(vmin), abs(vmax))
-        unit = 0.5 if scale == 0 else (image / scale + 1.0) / 2.0
-        unit = np.full_like(image, 0.5) if scale == 0 else unit
+        unit = np.full_like(image, 0.5) if scale == 0 else (image / scale + 1.0) / 2.0
     else:
         span = vmax - vmin
         unit = np.zeros_like(image) if span == 0 else (image - vmin) / span

@@ -135,12 +135,16 @@ def pixel_attribution(dataset_features, predictions, target_row: int,
     return PixelAttributionMap(h1, h2, att.baseline, att.total)
 
 
+def _param_cohort(params_table, target_row: int):
+    """Categorical cohort over the four generator parameters of each row."""
+    rows = [p.as_tuple() if hasattr(p, "as_tuple") else tuple(p) for p in params_table]
+    return similarity_matrix(np.array(rows, dtype=object), target_row,
+                             SimilaritySpec(kind="categorical"))
+
+
 def param_attribution(params_table, y, target_row: int) -> ParamAttribution:
     """Exact Cohort Shapley over the four categorical generator parameters."""
-    rows = [p.as_tuple() if hasattr(p, "as_tuple") else tuple(p) for p in params_table]
-    X = np.array(rows, dtype=object)
-    cohort = similarity_matrix(X, target_row, SimilaritySpec(kind="categorical"))
-    att = cohort_shapley(cohort, np.asarray(y, dtype=float))
+    att = cohort_shapley(_param_cohort(params_table, target_row), np.asarray(y, dtype=float))
     return ParamAttribution(dict(zip(PARAM_NAMES, map(float, att.values))),
                             att.baseline, att.total)
 
@@ -215,9 +219,7 @@ def higher_order(params_table, dataset_features, predictions, target_row: int,
         row_cohort = similarity_matrix(X, i, similarity)
         attr[i] = igcs(row_cohort, y, steps).values[pixel_subset]
 
-    rows = [p.as_tuple() if hasattr(p, "as_tuple") else tuple(p) for p in params_table]
-    param_cohort = similarity_matrix(np.array(rows, dtype=object), target_row,
-                                     SimilaritySpec(kind="categorical"))
+    param_cohort = _param_cohort(params_table, target_row)
     flat_maps = {name: np.zeros(d) for name in PARAM_NAMES}
     baseline = np.zeros(d)
     computed = np.zeros(d, dtype=bool)

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations
 
 import numpy as np
 
@@ -83,43 +81,27 @@ class Filtration:
         self._values = values_by_dim  # dim -> (k,) float array
         self.max_dim = max_dim
         self.n_points = n_points
-        self._build_global_order()
         self._faces: dict[int, np.ndarray] = {}
         self._reduction = None
 
-    def _build_global_order(self):
-        dims = np.concatenate([np.full(len(self._values[p]), p, dtype=np.int32)
-                               for p in range(self.max_dim + 1)])
-        values = np.concatenate([self._values[p] for p in range(self.max_dim + 1)])
-        pad = np.full((len(dims), self.max_dim + 1), -1, dtype=np.int64)
-        row = 0
-        for p in range(self.max_dim + 1):
-            k = len(self._values[p])
-            pad[row:row + k, :p + 1] = self._verts[p]
-            row += k
-        keys = [pad[:, c] for c in range(self.max_dim, -1, -1)] + [dims, values]
-        order = np.lexsort(keys)
-        self._global_dim = dims[order]
-        self._global_value = values[order]
-        # per-dim position of each global index, and the inverse map
-        pos_in_dim = np.concatenate([np.arange(len(self._values[p]), dtype=np.int64)
-                                     for p in range(self.max_dim + 1)])
-        self._global_pos = pos_in_dim[order]
-        self._global_of = {}
-        for p in range(self.max_dim + 1):
-            sel = np.flatnonzero(self._global_dim == p)
-            g = np.empty(len(self._values[p]), dtype=np.int64)
-            g[self._global_pos[sel]] = sel
-            self._global_of[p] = g
-
     def __len__(self) -> int:
-        return len(self._global_dim)
+        return sum(self.count(p) for p in range(self.max_dim + 1))
 
     def count(self, dim: int) -> int:
         return len(self._values[dim])
 
     def global_index(self, dim: int, pos: int) -> int:
-        return int(self._global_of[dim][pos])
+        """Rank of simplex `pos` of `dim` in the (value, dimension, vertices)
+        order: `pos`, plus the simplices of each lower dimension with value
+        <= its value, plus those of each higher dimension with value < it.
+        Each dimension's block is sorted by (value, vertices), so each count
+        is one binary search."""
+        v = self._values[dim][pos]
+        rank = pos
+        for q in range(self.max_dim + 1):
+            if q != dim:
+                rank += np.searchsorted(self._values[q], v, "right" if q < dim else "left")
+        return int(rank)
 
     def value(self, dim: int, pos: int) -> float:
         return float(self._values[dim][pos])
@@ -151,11 +133,6 @@ class Filtration:
         return out
 
 
-@lru_cache(maxsize=64)
-def _combo_array(n: int, k: int) -> np.ndarray:
-    return np.array(list(combinations(range(n), k)), dtype=np.int64).reshape(-1, k)
-
-
 def _enclosing_radius(dist: np.ndarray) -> float:
     """min over points of the largest distance to any other point; inf for
     n <= 1. Read from the upper triangle, as the simplex diameters are."""
@@ -167,8 +144,8 @@ def _enclosing_radius(dist: np.ndarray) -> float:
 
 def build_rips(dist: np.ndarray, max_dim: int, max_radius: float,
                max_simplices: int = _ENUMERATION_BUDGET) -> Filtration:
-    """Enumerate every simplex of dimension <= max_dim whose diameter is at
-    most min(max_radius, enclosing radius), sorted filtration-ready.
+    """Every simplex of dimension <= max_dim whose diameter is at most
+    min(max_radius, enclosing radius), sorted filtration-ready.
 
     The enclosing radius is the smallest, over all points, of a point's
     largest distance to any other point. From that radius on, the Rips
@@ -179,14 +156,19 @@ def build_rips(dist: np.ndarray, max_dim: int, max_radius: float,
     a prefix of the (value, dimension, vertices) order, so global simplex
     indices, pairs and reduced chains are those of the uncut complex.
 
+    The complex grows by clique expansion (Zomorodian 2010): each p-simplex
+    is a (p-1)-simplex plus a vertex above its last vertex that lies within
+    the cut of all of its vertices, and its value is the max of the parent's
+    value and the new edges' lengths, which is exactly its diameter.
+
     Raises SimplexBudgetError instead of silently truncating when the
-    candidate count exceeds `max_simplices`.
+    C(n, k) candidate count, before the cut, exceeds `max_simplices`.
     """
     dist = np.asarray(dist, dtype=float)
     n = dist.shape[0]
     if max_dim not in (2, 3):
         raise ValueError("max_dim must be 2 or 3")
-    if max_radius <= 0:
+    if not max_radius > 0:  # NaN too: it would cut every edge
         raise ValueError("max_radius must be positive")
     total_candidates = sum(math.comb(n, k) for k in range(2, max_dim + 2))
     if total_candidates > max_simplices:
@@ -194,24 +176,21 @@ def build_rips(dist: np.ndarray, max_dim: int, max_radius: float,
             f"{n} points imply up to {total_candidates} simplices,"
             f" over the budget of {max_simplices}")
 
-    cut = min(max_radius, _enclosing_radius(dist))
-    verts_by_dim = {0: np.arange(n, dtype=np.int64)[:, None]}
-    values_by_dim = {0: np.zeros(n)}
+    near = np.triu(dist <= min(max_radius, _enclosing_radius(dist)), 1)
+    verts, values = np.arange(n, dtype=np.int64)[:, None], np.zeros(n)
+    verts_by_dim, values_by_dim = {0: verts}, {0: values}
     for p in range(1, max_dim + 1):
-        combos = _combo_array(n, p + 1)
-        if len(combos) == 0:
-            verts_by_dim[p] = combos
-            values_by_dim[p] = np.zeros(0)
-            continue
-        diam = np.zeros(len(combos))
-        for a in range(p + 1):
-            for b in range(a + 1, p + 1):
-                np.maximum(diam, dist[combos[:, a], combos[:, b]], out=diam)
-        keep = diam <= cut
-        verts, values = combos[keep], diam[keep]
+        common = near[verts[:, 0]]
+        for c in range(1, p):
+            common &= near[verts[:, c]]
+        parent, top = np.nonzero(common)
+        values = values[parent]
+        for c in range(p):
+            np.maximum(values, dist[verts[parent, c], top], out=values)
+        verts = np.column_stack([verts[parent], top])
         order = np.lexsort([verts[:, c] for c in range(p, -1, -1)] + [values])
-        verts_by_dim[p] = verts[order]
-        values_by_dim[p] = values[order]
+        verts, values = verts[order], values[order]
+        verts_by_dim[p], values_by_dim[p] = verts, values
     return Filtration(verts_by_dim, values_by_dim, max_dim, n)
 
 
@@ -221,51 +200,30 @@ def build_rips(dist: np.ndarray, max_dim: int, max_radius: float,
 def _pairs_from_block(filtration: Filtration, p: int, skip: set[int]):
     """Reduce the dimension-p column block; rows are (p-1)-simplex positions.
 
-    Columns are stored lazily: a column that claims a free pivot on sight is
-    kept as its face tuple, and the int bitset is only materialized when a
-    later column collides with it and needs the XOR. In Rips filtrations the
-    vast majority of columns never collide, so this skips most big-int work.
+    Every column is a Python int used as a bitset over the rows, so the Z/2
+    column addition is one XOR and the pivot is the highest set bit.
+    Columns in `skip` are known to reduce to zero and are not visited.
 
-    Returns the (pivot row -> column) pairing and a materializer for the
-    reduced column bitset of any paired column.
+    Returns the (pivot row -> column) pairing and the reduced column of
+    every paired column.
     """
-    face_lists = np.sort(filtration.faces(p), axis=1).tolist()
     pivot_to_col: dict[int, int] = {}
-    stored: dict[int, object] = {}
-
-    def materialize(j: int) -> int:
-        v = stored[j]
-        if not isinstance(v, int):
-            col = 0
-            for r in v:
-                col |= 1 << r
-            stored[j] = col = int(col)
-            return col
-        return v
-
-    for j, fr in enumerate(face_lists):
+    reduced: dict[int, int] = {}
+    for j, faces in enumerate(filtration.faces(p).tolist()):
         if j in skip:
             continue
-        low = fr[-1]
-        k = pivot_to_col.get(low)
-        if k is None:
-            pivot_to_col[low] = j
-            stored[j] = fr
-            continue
         col = 0
-        for r in fr:
+        for r in faces:
             col |= 1 << r
-        while True:
-            col ^= materialize(k)
-            if not col:
-                break
+        while col:
             low = col.bit_length() - 1
             k = pivot_to_col.get(low)
             if k is None:
                 pivot_to_col[low] = j
-                stored[j] = col
+                reduced[j] = col
                 break
-    return pivot_to_col, materialize
+            col ^= reduced[k]
+    return pivot_to_col, reduced
 
 
 def _bits(x: int):
@@ -291,7 +249,7 @@ def reduce(filtration: Filtration) -> list[PersistencePair]:
     chains: dict[tuple[int, int], tuple[int, ...]] = {}
     skip: set[int] = set()
     for p in range(filtration.max_dim, 1, -1):
-        pivot_to_col, materialize = _pairs_from_block(filtration, p, skip)
+        pivot_to_col, reduced = _pairs_from_block(filtration, p, skip)
         for low, j in pivot_to_col.items():
             birth = filtration.value(p - 1, low)
             death = filtration.value(p, j)
@@ -300,7 +258,7 @@ def reduce(filtration: Filtration) -> list[PersistencePair]:
                                        filtration.global_index(p - 1, low),
                                        filtration.global_index(p, j))
                 pairs.append(pair)
-                chains[(pair.dimension, pair.death_simplex)] = tuple(_bits(materialize(j)))
+                chains[(pair.dimension, pair.death_simplex)] = tuple(_bits(reduced[j]))
         skip = set(pivot_to_col.keys())
     pairs.sort(key=lambda q: (q.dimension, q.birth, q.death, q.death_simplex))
     filtration._reduction = (pairs, chains)
@@ -310,23 +268,18 @@ def reduce(filtration: Filtration) -> list[PersistencePair]:
 def reduce_naive(filtration: Filtration) -> list[PersistencePair]:
     """Textbook left-to-right reduction over the full boundary matrix.
 
-    Slow test oracle: no clearing, no per-dimension blocking; columns are
-    plain sets of global row indices.
+    Slow test oracle: no clearing, no per-dimension blocking; it sorts the
+    simplices into the (value, dimension, vertices) order itself, and its
+    columns are plain sets of global row indices.
     """
-    m = len(filtration)
-    columns: list[set[int]] = []
-    for g in range(m):
-        p = int(filtration._global_dim[g])
-        if p == 0:
-            columns.append(set())
-            continue
-        pos = int(filtration._global_pos[g])
-        columns.append({filtration.global_index(p - 1, int(r))
-                        for r in filtration.faces(p)[pos]})
+    order = sorted((filtration.value(p, pos), p, tuple(filtration._verts[p][pos].tolist()), pos)
+                   for p in range(filtration.max_dim + 1) for pos in range(filtration.count(p)))
+    index_of = {(p, pos): g for g, (_, p, _, pos) in enumerate(order)}
+    columns = [{index_of[p - 1, r] for r in filtration.faces(p)[pos].tolist()} if p else set()
+               for _, p, _, pos in order]
     low_of: dict[int, int] = {}
     pairs = []
-    for j in range(m):
-        col = columns[j]
+    for j, col in enumerate(columns):
         while col:
             low = max(col)
             k = low_of.get(low)
@@ -336,9 +289,8 @@ def reduce_naive(filtration: Filtration) -> list[PersistencePair]:
         if col:
             low = max(col)
             low_of[low] = j
-            dim = int(filtration._global_dim[low])
-            birth = float(filtration._global_value[low])
-            death = float(filtration._global_value[j])
+            birth, dim = order[low][:2]
+            death = order[j][0]
             if dim in (1, 2) and death > birth:
                 pairs.append(PersistencePair(dim, birth, death, low, j))
     pairs.sort(key=lambda q: (q.dimension, q.birth, q.death, q.death_simplex))

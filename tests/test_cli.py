@@ -175,6 +175,32 @@ BAD_INPUTS = {
     "manifest_histograms_not_object": ("vectorize", "manifest.json: 'histograms' is not an object",
                                        lambda d: _edit_json(
         d / "manifest.json", lambda m: m.update(histograms="h1"))),
+    "manifest_rips_max_dim_not_int": ("ph,vectorize", "manifest.json: 'rips.max_dim' must be an integer",
+                                      lambda d: _edit_json(
+        d / "manifest.json", lambda m: m["rips"].update(max_dim="3"))),
+    "manifest_rips_max_radius_not_number": ("ph,vectorize",
+                                            "manifest.json: 'rips.max_radius' must be a number",
+                                            lambda d: _edit_json(
+        d / "manifest.json", lambda m: m["rips"].update(max_radius="x"))),
+    "manifest_rips_max_radius_nan": ("ph", "max_radius must be positive", lambda d: _edit_json(
+        d / "manifest.json", lambda m: m["rips"].update(max_radius=float("nan")))),
+    "manifest_histogram_no_bins": ("ph,vectorize",
+                                   "manifest.json: missing key 'histograms.h1.bins_per_axis'",
+                                   lambda d: _edit_json(
+        d / "manifest.json", lambda m: m["histograms"]["h1"].pop("bins_per_axis"))),
+    "manifest_item_not_object": ("ph,vectorize", "manifest.json: 'items.0' must be an object",
+                                 lambda d: _edit_json(
+        d / "manifest.json", lambda m: m.update(items=[1]))),
+    "manifest_items_not_list": ("ph,vectorize", "manifest.json: 'items' must be a list",
+                                lambda d: _edit_json(
+        d / "manifest.json", lambda m: m.update(items=5))),
+    "manifest_item_id_not_string": ("ph,vectorize", "manifest.json: 'items.1.id' must be a string",
+                                    lambda d: _edit_json(
+        d / "manifest.json", lambda m: m["items"][1].update(id=7))),
+    "manifest_item_cloud_not_string": ("ph,vectorize",
+                                       "manifest.json: 'items.1.cloud' must be a string",
+                                       lambda d: _edit_json(
+        d / "manifest.json", lambda m: m["items"][1].update(cloud=5))),
     "manifest_item_no_id": ("predict", "item 1 is missing key 'id'", lambda d: _edit_json(
         d / "manifest.json", lambda m: m["items"][1].pop("id"))),
     "manifest_item_no_cloud": ("predict", "item 1 is missing key 'cloud'", lambda d: _edit_json(

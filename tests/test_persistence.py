@@ -20,12 +20,15 @@ def unit_octahedron():
 
 
 def simplices(f):
-    """(value, dimension, vertices) of every simplex, in global filtration order."""
+    """(value, dimension, vertices) of every simplex, in global filtration
+    order; every rank in range(len(f)) is filled exactly once."""
     out = [None] * len(f)
     for p in range(f.max_dim + 1):
         for pos in range(f.count(p)):
-            out[f.global_index(p, pos)] = (f.value(p, pos), p,
-                                           tuple(int(v) for v in f._verts[p][pos]))
+            g = f.global_index(p, pos)
+            assert 0 <= g < len(f) and out[g] is None, (p, pos, g)
+            out[g] = (f.value(p, pos), p, tuple(int(v) for v in f._verts[p][pos]))
+    assert None not in out
     return out
 
 
@@ -41,6 +44,34 @@ def uncut_filtration(d, max_dim, r):
         verts[p] = np.array([sub for _, sub in kept], dtype=np.int64).reshape(-1, p + 1)
         values[p] = np.array([v for v, _ in kept], dtype=float)
     return ph.Filtration(verts, values, max_dim, n)
+
+
+def small_generator_clouds(max_points=16):
+    """Lattice clouds from the structure generator: many tied distances."""
+    clouds = (geo.generate_structure(v) for v in geo.iter_param_vectors()[::17])
+    return [c for c in clouds if len(c) <= max_points]
+
+
+def oracle_clouds(rng):
+    """(cloud, is_generated): random clouds, lattice generator clouds,
+    clouds with duplicate points, and n = 0, 1, 2."""
+    clouds = [random_cloud(rng, int(rng.integers(8, 15))) for _ in range(40)]
+    generated = small_generator_clouds()
+    assert len(generated) >= 5
+    for _ in range(5):
+        base = random_cloud(rng, int(rng.integers(6, 11)))
+        dup = rng.integers(0, len(base), size=3)
+        clouds.append(geo.PointCloud(np.vstack([base.points, base.points[dup]])))
+    clouds += [geo.PointCloud(rng.normal(size=(n, 3))) for n in (0, 1, 2)]
+    return [(c, False) for c in clouds] + [(c, True) for c in generated]
+
+
+def oracle_radii(d):
+    """max_radius below, equal to and above the enclosing radius."""
+    enclosing = d.max(axis=1).min() if len(d) > 1 else math.inf
+    assert ph._enclosing_radius(d) == enclosing
+    radii = [r for r in (0.8 * enclosing, enclosing) if 0 < r < math.inf]
+    return radii + [2.0 * d.max(initial=0.0) + 1.0]
 
 
 # ---------------------------------------------------------------------------
@@ -93,10 +124,26 @@ def test_faces_precede_cofaces(rng):
 
 
 def test_filtration_order_is_sorted(rng):
-    cloud = random_cloud(rng, 8)
-    f = ph.build_rips(geo.pairwise_distances(cloud), 3, 10.0)
-    keys = simplices(f)
-    assert keys == sorted(keys)
+    """The generator's lattice clouds tie many values within and across
+    dimensions, where the side of each rank's binary search matters."""
+    for cloud in [random_cloud(rng, 8)] + small_generator_clouds():
+        f = ph.build_rips(geo.pairwise_distances(cloud), 3, 10.0)
+        keys = simplices(f)
+        assert keys == sorted(keys)
+
+
+def test_build_rips_equals_subset_oracle(rng):
+    """Clique expansion gives exactly the subsets of diameter <= min(r,
+    enclosing radius), with equal vertex and value arrays per dimension."""
+    for cloud, _ in oracle_clouds(rng):
+        d = geo.pairwise_distances(cloud)
+        for r, max_dim in product(oracle_radii(d), (2, 3)):
+            f = ph.build_rips(d, max_dim, r)
+            expected = uncut_filtration(d, max_dim, min(r, ph._enclosing_radius(d)))
+            assert simplices(f) == simplices(expected)
+            for p in range(max_dim + 1):
+                assert np.array_equal(f._verts[p], expected._verts[p])
+                assert np.array_equal(f._values[p], expected._values[p])
 
 
 def test_budget_error():
@@ -135,30 +182,13 @@ def test_octahedron_h2_pair():
     assert h2[0].death == pytest.approx(math.sqrt(2), abs=1e-12)
 
 
-def small_generator_clouds(max_points=16):
-    """Lattice clouds from the structure generator: many tied distances."""
-    clouds = (geo.generate_structure(v) for v in geo.iter_param_vectors()[::17])
-    return [c for c in clouds if len(c) <= max_points]
-
-
 def test_reduce_matches_naive_on_random_clouds(rng):
     """`build_rips` stops at the enclosing radius; `reduce_naive` on the uncut
     complex must still give the same pairs, simplex indices included, at
     max_radius below, equal to and above that radius."""
-    clouds = [random_cloud(rng, int(rng.integers(8, 15))) for _ in range(40)]
-    generated = small_generator_clouds()
-    assert len(generated) >= 5
-    for _ in range(5):
-        base = random_cloud(rng, int(rng.integers(6, 11)))
-        dup = rng.integers(0, len(base), size=3)
-        clouds.append(geo.PointCloud(np.vstack([base.points, base.points[dup]])))
-    clouds += [geo.PointCloud(rng.normal(size=(n, 3))) for n in (0, 1, 2)]
-    for cloud, is_generated in [(c, False) for c in clouds] + [(c, True) for c in generated]:
+    for cloud, is_generated in oracle_clouds(rng):
         d = geo.pairwise_distances(cloud)
-        enclosing = d.max(axis=1).min() if len(cloud) > 1 else math.inf
-        assert ph._enclosing_radius(d) == enclosing
-        radii = [r for r in (0.8 * enclosing, enclosing) if 0 < r < math.inf]
-        for r, max_dim in product(radii + [2.0 * d.max(initial=0.0) + 1.0], (2, 3)):
+        for r, max_dim in product(oracle_radii(d), (2, 3)):
             f = ph.build_rips(d, max_dim, r)
             uncut = uncut_filtration(d, max_dim, r)
             pairs = ph.reduce(f)
