@@ -1,8 +1,8 @@
 """Persistent-homology ML pipeline with observational feature attribution."""
 
 from .geometry import (GridSpec, GridCounts, ParamVector, PointCloud, SyntheticSpec,
-                       generate_structure, grid_counts, load_xyz, occupancy_stats,
-                       pairwise_distances, perturb, save_xyz, synthetic_target)
+                       generate_structure, grid_counts, load_xyz, pairwise_distances,
+                       perturb, save_xyz, synthetic_target)
 from .persistence import (Filtration, PersistenceDiagram, PersistencePair,
                           build_rips, diagram, reduce, reduce_naive,
                           representative_cycle)

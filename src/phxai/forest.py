@@ -294,19 +294,30 @@ def impurity_importance(forest: Forest) -> np.ndarray:
 
 def permutation_importance(forest: Forest, X, y, repeats: int = 5,
                            seed: int = 0) -> np.ndarray:
-    """Mean R^2 drop when each column is independently shuffled."""
+    """Mean R^2 drop when each column is independently shuffled.
+
+    A column no tree splits on leaves every prediction unchanged, so its
+    drop is exactly 0 and is not re-predicted; its permutations are still
+    drawn, so every other column sees the same random stream.
+    """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     rng = np.random.default_rng(seed)
     base = r2(predict_batch(forest, X), y)
+    split = np.zeros(X.shape[1], dtype=bool)
+    for t in forest.trees:
+        split[t.feature[t.feature >= 0]] = True
     out = np.zeros(X.shape[1])
     for j in range(X.shape[1]):
+        perms = [rng.permutation(len(X)) for _ in range(repeats)]
+        if not split[j]:
+            continue
         drops = []
-        for _ in range(repeats):
+        for perm in perms:
             Xp = X.copy()
-            Xp[:, j] = Xp[rng.permutation(len(X)), j]
+            Xp[:, j] = X[perm, j]
             drops.append(base - r2(predict_batch(forest, Xp), y))
         out[j] = float(np.mean(drops))
     return out

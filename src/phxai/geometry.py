@@ -30,10 +30,6 @@ class XYZFormatError(ValueError):
     """Malformed XYZ input; the message names the offending line number."""
 
 
-class GridMismatchError(ValueError):
-    """Grid-dependent aggregation was given counts from different grids."""
-
-
 @dataclass
 class PointCloud:
     """Ordered list of 3D points with optional per-point labels.
@@ -75,7 +71,7 @@ class GridSpec:
     cells_per_axis: int = 57
 
     def __post_init__(self):
-        if self.cell_size <= 0:
+        if not self.cell_size > 0:
             raise ValueError("cell_size must be positive")
         if self.cells_per_axis < 1:
             raise ValueError("cells_per_axis must be >= 1")
@@ -151,14 +147,6 @@ class SyntheticSpec:
     anchor_spacing: float = 6.5
     node_radius: float = 1.4
     max_linker_rings: int = 3
-
-
-@dataclass(frozen=True)
-class OccupancyStats:
-    """Dataset-level grid occupancy: how many cells never hold a point."""
-
-    empty_cells: int
-    occupied_histogram: dict[int, int]
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +339,7 @@ def synthetic_target(cloud: PointCloud, probe_radius: float,
     count, so only those are queried (with one cell of slack against
     rounding); the fraction is still taken over every center.
     """
-    if probe_radius <= 0:
+    if not probe_radius > 0:
         raise ValueError("probe_radius must be positive")
     if len(cloud) == 0:
         return 0.0
@@ -377,7 +365,7 @@ def perturb(cloud: PointCloud, length: float, seed: int) -> PointCloud:
     """Displace every point by exactly `length` along an independent
     uniformly-random direction. Deterministic given `seed`; preserves point
     count, order, and labels."""
-    if length <= 0:
+    if not length > 0:
         raise ValueError("length must be positive")
     rng = np.random.default_rng(seed)
     n = len(cloud)
@@ -423,23 +411,3 @@ def grid_counts(cloud: PointCloud, spec: GridSpec) -> GridCounts:
     inside = flat >= 0
     counts = np.bincount(flat[inside], minlength=spec.n_cells).astype(np.int64)
     return GridCounts(counts, spec, overflow=int((~inside).sum()))
-
-
-def occupancy_stats(dataset) -> OccupancyStats:
-    """Across a dataset of GridCounts on one shared grid, report how many
-    cells never contain a point and, per occupied cell, how many items
-    occupy it."""
-    occupied: dict[int, int] = {}
-    spec = None
-    n_items = 0
-    for gc in dataset:
-        if spec is None:
-            spec = gc.spec
-        elif gc.spec != spec:
-            raise GridMismatchError("all GridCounts must share one GridSpec")
-        n_items += 1
-        for cell in np.flatnonzero(gc.counts):
-            occupied[int(cell)] = occupied.get(int(cell), 0) + 1
-    if spec is None:
-        raise ValueError("empty dataset")
-    return OccupancyStats(spec.n_cells - len(occupied), occupied)

@@ -34,11 +34,12 @@ class HistogramSpec:
     blur_sigma: float = BLUR_SIGMA
 
     def __post_init__(self):
-        if self.birth_max <= 0 or self.persistence_max <= 0:
-            raise ValueError("axis cutoffs must be positive")
+        for name in ("birth_max", "persistence_max"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
         if self.bins_per_axis < 1:
             raise ValueError("bins_per_axis must be >= 1")
-        if self.blur_sigma < 0:
+        if not self.blur_sigma >= 0:
             raise ValueError("blur_sigma must be >= 0")
 
     def to_dict(self) -> dict:
@@ -185,14 +186,3 @@ def split_features(vec) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"feature width {vec.shape} is not 2 * bins^2")
     half = bins * bins
     return vec[:half].reshape(bins, bins), vec[half:].reshape(bins, bins)
-
-
-def pixel_of_flat(index: int, bins: int = BINS) -> tuple[int, int, int]:
-    """Map a flat feature index back to (homology dimension, birth bin,
-    persistence bin)."""
-    half = bins * bins
-    if not 0 <= index < 2 * half:
-        raise ValueError("flat index out of range")
-    dim = 1 if index < half else 2
-    r = index % half
-    return dim, r // bins, r % bins

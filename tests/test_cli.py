@@ -277,6 +277,51 @@ def test_pipeline_blur_wider_than_axis(dataset, tmp_path):
                "--h2-pers-max", 0.2) == 0
 
 
+NAN_FLAGS = {
+    "probe_radius": (["gen-data", "--count", 2, "--seed", 2, "--out", "{d}/g",
+                      "--probe-radius", "nan"], "probe_radius must be positive"),
+    "h1_pers_max": (["pipeline", "{d}/manifest.json", "--stages", "ph,vectorize",
+                     "--h1-pers-max", "nan"], "persistence_max must be positive"),
+    "sigma": (["pipeline", "{d}/manifest.json", "--stages", "vectorize",
+               "--sigma", "nan"], "blur_sigma must be >= 0"),
+    "ratio": (["explain", "{d}/manifest.json", "--mode", "pixels", "--target", "item_0000",
+               "--ratio", "nan"], "ratio must be in (0, 1]"),
+    "perturb_length": (["explain", "{d}/manifest.json", "--mode", "grid",
+                        "--target", "item_0000", "--cohort-size", 2,
+                        "--perturb-length", "nan"], "length must be positive"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NAN_FLAGS))
+def test_nan_flag_exits_2_naming_the_parameter(dataset, tmp_path, capsys, case):
+    """NaN fails every `x > 0` comparison, so it must not pass a positivity
+    check written as `x <= 0`."""
+    argv, message = NAN_FLAGS[case]
+    copy = tmp_path / "d"
+    shutil.copytree(dataset, copy)
+    assert run(*(str(a).format(d=copy) for a in argv)) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_pipeline_feature_subsampling_and_min_leaf(dataset, tmp_path):
+    copy = tmp_path / "d"
+    shutil.copytree(dataset, copy)
+    argv = ("pipeline", copy / "manifest.json", "--stages", "ph,vectorize,train",
+            "--max-features", 0.3, "--min-leaf", 3, "--trees", 5)
+    assert run(*argv) == 0
+    first = (copy / "model.json").read_bytes()
+    model = json.loads(first)
+    assert model["config"]["max_features_fraction"] == 0.3
+    assert model["config"]["min_samples_leaf"] == 3
+    for tree in model["trees"]:
+        n_samples = tree["n_samples"]
+        internal = [k for k, f in enumerate(tree["feature"]) if f >= 0]
+        assert internal
+        for k in internal:
+            assert n_samples[tree["left"][k]] >= 3 and n_samples[tree["right"][k]] >= 3
+    assert run(*argv) == 0
+    assert (copy / "model.json").read_bytes() == first
+
 def test_pipeline_missing_stage_inputs(tmp_path):
     out = tmp_path / "d"
     run("gen-data", "--count", 3, "--seed", 2, "--out", out)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from phxai import forest as fr
 
@@ -148,6 +150,98 @@ def test_permutation_importance_properties(rng):
     assert imp[0] >= 0.5            # shuffling the driver collapses R^2
     again = fr.permutation_importance(model, X, y, repeats=3, seed=0)
     assert np.array_equal(imp, again)
+
+
+def permutation_importance_oracle(forest, X, y, repeats, seed):
+    """Re-predict every column on every repeat, split on or not."""
+    rng = np.random.default_rng(seed)
+    base = fr.r2(fr.predict_batch(forest, X), y)
+    out = np.zeros(X.shape[1])
+    for j in range(X.shape[1]):
+        drops = []
+        for _ in range(repeats):
+            Xp = X.copy()
+            Xp[:, j] = Xp[rng.permutation(len(X)), j]
+            drops.append(base - fr.r2(fr.predict_batch(forest, Xp), y))
+        out[j] = float(np.mean(drops))
+    return out
+
+
+def test_permutation_importance_skips_unsplit_columns(monkeypatch):
+    rng = np.random.default_rng(3)
+    n = 40
+    X = np.column_stack([rng.normal(size=n), rng.normal(size=n),
+                         rng.integers(0, 2, n).astype(float), np.full(n, 1.0),
+                         rng.normal(size=n), np.zeros(n)])
+    y = 3 * X[:, 0] + X[:, 1]
+    model = fr.train(X, y, fr.TrainConfig(n_trees=4, max_features_fraction=0.5,
+                                          min_samples_leaf=6, seed=2))
+    split = sorted({int(f) for t in model.trees for f in t.feature[t.feature >= 0]})
+    assert split == [0, 1, 4]   # column 2 varies but no tree reads it
+    expected = permutation_importance_oracle(model, X, y, repeats=3, seed=7)
+
+    calls = []
+    predict_batch = fr.predict_batch
+
+    def counting_predict_batch(forest, X):
+        calls.append(1)
+        return predict_batch(forest, X)
+
+    monkeypatch.setattr(fr, "predict_batch", counting_predict_batch)
+    imp = fr.permutation_importance(model, X, y, repeats=3, seed=7)
+    assert np.array_equal(imp, expected)
+    assert not np.signbit(imp[[2, 3, 5]]).any() and not imp[[2, 3, 5]].any()
+    assert len(calls) == 1 + 3 * len(split)
+
+
+# ---------------------------------------------------------------------------
+# Split search
+
+def best_split_oracle(Xn, yn, cols, min_leaf):
+    """Try every (column, distinct-value gap) candidate one by one; keep
+    the first best in (feature index, threshold) order."""
+    n = len(yn)
+    tot = float(yn.sum())
+    best = None
+    for f in np.argsort(cols, kind="stable"):
+        values = np.unique(Xn[:, f])
+        for lo, hi in zip(values[:-1], values[1:]):
+            left = Xn[:, f] <= lo
+            nl, nr = float(left.sum()), float(n - left.sum())
+            if nl < min_leaf or nr < min_leaf:
+                continue
+            cl = float(yn[left].sum())
+            score = cl ** 2 / nl + (tot - cl) ** 2 / nr
+            if best is None or score > best[0]:
+                best = (score, int(cols[f]), (lo + hi) / 2.0)
+    if best is None:
+        return None
+    y_sq = float(np.dot(yn, yn))
+    sse_parent = y_sq - tot ** 2 / n
+    return best[1], float(best[2]), sse_parent - (y_sq - best[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 14), st.integers(1, 5),
+       st.integers(1, 3), st.integers(1, 4), st.booleans())
+@example(0, 3, 1, 1, 3, False)
+def test_best_split_matches_brute_force(seed, n, d, min_leaf, levels, duplicates):
+    """Integer targets keep every sum exact, so the fast search and the
+    brute force must agree bit for bit, ties included: few value levels
+    tie thresholds and scores, one level makes a column constant, and
+    `duplicates` repeats whole rows and copies the first column last.
+    Each example checks ten draws, as a tie decides only about one in a
+    hundred."""
+    rng = np.random.default_rng(seed)
+    for _ in range(10):
+        X = rng.integers(0, levels, size=(n, d)).astype(float) * 0.5
+        y = rng.integers(-2, 3, size=n).astype(float)
+        if duplicates:
+            rows = rng.integers(0, max(1, n // 2), size=n)
+            X, y = X[rows], y[rows]
+            X[:, -1] = X[:, 0]
+        cols = np.sort(rng.choice(3 * d, size=d, replace=False))
+        assert fr._best_split(X, y, cols, min_leaf) == best_split_oracle(X, y, cols, min_leaf)
 
 
 # ---------------------------------------------------------------------------

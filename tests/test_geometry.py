@@ -240,37 +240,23 @@ def test_counts_plus_overflow_conserved(seed, n):
 
 
 # ---------------------------------------------------------------------------
-# Occupancy stats
-
-def test_occupancy_single_empty_cloud():
-    spec = geo.GridSpec((0.0, 0.0, 0.0), 1.0, 5)
-    stats = geo.occupancy_stats([geo.grid_counts(geo.PointCloud(np.zeros((0, 3))), spec)])
-    assert stats.empty_cells == 125 and stats.occupied_histogram == {}
-
-
-def test_occupancy_one_point():
-    spec = geo.GridSpec((0.0, 0.0, 0.0), 1.0, 5)
-    stats = geo.occupancy_stats([geo.grid_counts(
-        geo.PointCloud(np.array([[0.5, 0.5, 0.5]])), spec)])
-    assert stats.empty_cells == 124
-    assert stats.occupied_histogram == {0: 1}
-
-
-def test_occupancy_mismatched_specs_rejected():
-    a = geo.grid_counts(geo.PointCloud(np.zeros((0, 3))), geo.GridSpec((0, 0, 0), 1.0, 5))
-    b = geo.grid_counts(geo.PointCloud(np.zeros((0, 3))), geo.GridSpec((0, 0, 0), 2.0, 5))
-    with pytest.raises(geo.GridMismatchError):
-        geo.occupancy_stats([a, b])
-
+# Grid occupancy of the synthetic data
 
 def test_occupancy_synthetic_dataset_heavily_skewed():
     vocab = geo.iter_param_vectors()
     rng = np.random.default_rng(4)
     spec = geo.SyntheticSpec()
-    dataset = (geo.grid_counts(geo.generate_structure(vocab[int(i)], spec), spec.grid)
-               for i in rng.permutation(len(vocab))[:200])
-    stats = geo.occupancy_stats(dataset)
-    assert stats.empty_cells > 0.8 * spec.grid.n_cells
+    occupied = np.zeros(spec.grid.n_cells, dtype=bool)
+    for i in rng.permutation(len(vocab))[:200]:
+        occupied |= geo.grid_counts(geo.generate_structure(vocab[int(i)], spec),
+                                    spec.grid).counts > 0
+    assert np.count_nonzero(~occupied) > 0.8 * spec.grid.n_cells
+
+
+@pytest.mark.parametrize("cell_size", [float("nan"), 0.0, -1.0])
+def test_grid_spec_rejects_non_positive_cell_size(cell_size):
+    with pytest.raises(ValueError, match="cell_size must be positive"):
+        geo.GridSpec((0.0, 0.0, 0.0), cell_size, 4)
 
 
 # ---------------------------------------------------------------------------

@@ -123,8 +123,6 @@ def test_flat_index_map():
                      vec.LandscapeImage(b, vec.default_spec(2)))
     assert v[3 * 54 + 7] == 1.0
     assert v[2916 + 10 * 54 + 2] == 2.0
-    assert vec.pixel_of_flat(3 * 54 + 7) == (1, 3, 7)
-    assert vec.pixel_of_flat(2916 + 10 * 54 + 2) == (2, 10, 2)
 
 
 def test_features_roundtrip(rng=np.random.default_rng(5)):

@@ -2,7 +2,7 @@ from itertools import permutations, product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phxai import xai
@@ -292,6 +292,38 @@ def test_igcs_gradient_agrees_with_multilinear_gradient(rng):
     att = xai.igcs(cohort, y, steps=steps)
     assert np.abs(att.values - acc / steps).max() < 1e-10
 
+
+def igcs_oracle(cohort, y, steps):
+    """Midpoint sum of the quotient-rule gradient along the diagonal."""
+    d = cohort.n_features
+    acc = np.zeros(d)
+    for k in range(1, steps + 1):
+        acc += xai.multilinear_gradient(cohort, y, np.full(d, (k - 0.5) / steps))
+    return acc / steps
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 30), st.integers(1, 12),
+       st.integers(1, 60), st.sampled_from(["random", "all_similar", "others_dissimilar"]))
+@example(0, 1, 1, 1, "random")
+@example(1, 1, 12, 60, "random")
+@example(2, 30, 12, 60, "all_similar")
+@example(3, 30, 12, 60, "others_dissimilar")
+def test_igcs_equals_midpoint_sum_of_multilinear_gradient(seed, n, d, steps, shape):
+    rng = np.random.default_rng(seed)
+    target = int(rng.integers(0, n))
+    if shape == "random":
+        X = rng.integers(0, int(rng.integers(1, 4)), size=(n, d)).astype(float)
+    elif shape == "all_similar":
+        X = np.full((n, d), 2.0)
+    else:   # every row but the target is dissimilar on every column
+        X = np.ones((n, d))
+        X[target] = 0.0
+    cohort = xai.similarity_matrix(X, target)
+    y = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4)
+    oracle = igcs_oracle(cohort, y, steps)
+    att = xai.igcs(cohort, y, steps)
+    assert np.abs(att.values - oracle).max() <= 1e-10 * max(1.0, np.abs(oracle).max())
 
 def test_igcs_agrees_with_cohort_shapley():
     rng = np.random.default_rng(404)
