@@ -25,7 +25,7 @@ from . import forest as forest_mod
 from . import geometry as geo
 from . import persistence as ph
 from . import vectorize as vec
-from .xai import CohortSizeError, SimilaritySpec
+from .xai import DEFAULT_RATIO, DEFAULT_STEPS, CohortSizeError, SimilaritySpec
 
 FORMAT_VERSION = "1"
 DEFAULT_MAX_RADIUS = ph.DEFAULT_MAX_RADIUS
@@ -62,6 +62,11 @@ def read_grid_csv(path) -> np.ndarray:
     if not rows or any(len(r) != len(rows[0]) for r in rows):
         raise DataError(f"{path}: not a rectangular CSV grid")
     return np.array(rows)
+
+
+def _flags(args) -> dict:
+    """The command's flags for its run-log record, paths left out."""
+    return {k: v for k, v in vars(args).items() if k not in ("func", "out", "manifest")}
 
 
 def _append_run_log(out_dir: Path, record: dict) -> None:
@@ -200,6 +205,8 @@ def _predictions(m: dict) -> np.ndarray:
 def cmd_gen_data(args) -> int:
     if args.count < 1:
         raise DataError("--count must be >= 1")
+    if not args.max_radius > 0:  # NaN too, as in build_rips
+        raise DataError("max_radius must be positive")
     vocab = geo.iter_param_vectors()
     if args.count > len(vocab):
         raise DataError(f"--count {args.count} exceeds the {len(vocab)} distinct"
@@ -231,9 +238,7 @@ def cmd_gen_data(args) -> int:
         "items": items,
     }
     _write_json(out / "manifest.json", manifest)
-    _append_run_log(out, {"command": "gen-data", "count": args.count,
-                          "seed": args.seed, "probe_radius": args.probe_radius,
-                          "max_radius": args.max_radius})
+    _append_run_log(out, _flags(args))
     print(f"wrote {len(items)} items to {out}")
     return 0
 
@@ -326,6 +331,8 @@ def _stage_train(m: dict, args) -> float | None:
                                     seed=args.seed)
     model = forest_mod.train(X[:n_train], y[:n_train], config)
     _write_json(m["_dir"] / "model.json", model.to_dict())
+    for item in m["items"]:  # they came from the model just replaced
+        item["prediction"] = None
     if args.importance != "none":
         if args.importance == "impurity":
             imp = forest_mod.impurity_importance(model)
@@ -386,10 +393,9 @@ def _pipeline_scorer(m: dict, model: forest_mod.Forest):
 
 
 def _explain_pixels(m: dict, args, target_idx: int, out_dir: Path) -> None:
+    y = _predictions(m)
     ids, X = _load_features(m)
-    model = _load_model(m)
-    preds = forest_mod.predict_batch(model, X)
-    amap = explain_mod.pixel_attribution(X, preds, target_idx,
+    amap = explain_mod.pixel_attribution(X, y, target_idx,
                                          SimilaritySpec(ratio=args.ratio), args.steps)
     item_id = m["items"][target_idx]["id"]
     _write_grid_csv(out_dir / f"pixels_{item_id}_h1.csv", amap.h1)
@@ -448,11 +454,10 @@ def _explain_grid(m: dict, args, target_idx: int, out_dir: Path) -> None:
 
 
 def _explain_higher(m: dict, args, target_idx: int, out_dir: Path) -> None:
+    y = _predictions(m)
     ids, X = _load_features(m)
-    model = _load_model(m)
-    preds = forest_mod.predict_batch(model, X)
     table = [geo.ParamVector.from_dict(item["params"]) for item in m["items"]]
-    maps = explain_mod.higher_order(table, X, preds, target_idx, steps=args.steps,
+    maps = explain_mod.higher_order(table, X, y, target_idx, steps=args.steps,
                                     quantile=args.pixel_quantile,
                                     similarity=SimilaritySpec(ratio=args.ratio))
     item_id = m["items"][target_idx]["id"]
@@ -477,14 +482,7 @@ def cmd_explain(args) -> int:
     handlers = {"pixels": _explain_pixels, "params": _explain_params,
                 "grid": _explain_grid, "higher": _explain_higher}
     handlers[args.mode](m, args, target_idx, out_dir)
-    _append_run_log(m["_dir"], {"command": "explain", "mode": args.mode,
-                                "target": args.target, "steps": args.steps,
-                                "ratio": args.ratio,
-                                "perturb_length": args.perturb_length,
-                                "cohort_size": args.cohort_size,
-                                "cohort_seed": args.cohort_seed,
-                                "pixel_quantile": args.pixel_quantile,
-                                "top_k": args.top_k})
+    _append_run_log(m["_dir"], _flags(args))
     return 0
 
 
@@ -544,6 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="phxai", description=__doc__,
                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
+    train = forest_mod.TrainConfig()
 
     g = sub.add_parser("gen-data", help="generate a synthetic dataset")
     g.add_argument("--count", type=int, required=True)
@@ -565,9 +564,10 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--h1-pers-max", type=float, default=None, dest="h1_pers_max")
     q.add_argument("--h2-birth-max", type=float, default=None, dest="h2_birth_max")
     q.add_argument("--h2-pers-max", type=float, default=None, dest="h2_pers_max")
-    q.add_argument("--trees", type=int, default=500)
-    q.add_argument("--max-features", type=float, default=1.0, dest="max_features")
-    q.add_argument("--min-leaf", type=int, default=1, dest="min_leaf")
+    q.add_argument("--trees", type=int, default=train.n_trees)
+    q.add_argument("--max-features", type=float, default=train.max_features_fraction,
+                   dest="max_features")
+    q.add_argument("--min-leaf", type=int, default=train.min_samples_leaf, dest="min_leaf")
     q.add_argument("--holdout", type=int, default=0)
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("--importance", choices=("none", "impurity", "permutation"),
@@ -579,12 +579,13 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--mode", choices=("pixels", "params", "grid", "higher"),
                    required=True)
     e.add_argument("--target", required=True)
-    e.add_argument("--steps", type=int, default=50)
-    e.add_argument("--ratio", type=float, default=0.01)
+    e.add_argument("--steps", type=int, default=DEFAULT_STEPS)
+    e.add_argument("--ratio", type=float, default=DEFAULT_RATIO)
     e.add_argument("--perturb-length", type=float, default=1.0, dest="perturb_length")
     e.add_argument("--cohort-size", type=int, default=100, dest="cohort_size")
     e.add_argument("--cohort-seed", type=int, default=0, dest="cohort_seed")
-    e.add_argument("--pixel-quantile", type=float, default=0.95, dest="pixel_quantile")
+    e.add_argument("--pixel-quantile", type=float, default=explain_mod.DEFAULT_QUANTILE,
+                   dest="pixel_quantile")
     e.add_argument("--top-k", type=int, default=5, dest="top_k")
     e.set_defaults(func=cmd_explain)
 

@@ -14,9 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import GridSpec, PointCloud, grid_counts, point_cell_indices, PARAM_NAMES
-from .vectorize import default_spec, pixel_of_pair, split_features
+from .vectorize import pixel_of_pair, split_features
 from .xai import (SimilaritySpec, cohort_shapley, igcs, similarity_matrix,
                   DEFAULT_STEPS)
+
+DEFAULT_QUANTILE = 0.95
 
 
 @dataclass
@@ -137,7 +139,7 @@ def pixel_attribution(dataset_features, predictions, target_row: int,
 
 def _param_cohort(params_table, target_row: int):
     """Categorical cohort over the four generator parameters of each row."""
-    rows = [p.as_tuple() if hasattr(p, "as_tuple") else tuple(p) for p in params_table]
+    rows = [p.as_tuple() for p in params_table]
     return similarity_matrix(np.array(rows, dtype=object), target_row,
                              SimilaritySpec(kind="categorical"))
 
@@ -187,8 +189,7 @@ def grid_based_explanation(target_cloud: PointCloud, cohort_clouds, pipeline,
                            n_dropped=int(spec.n_cells - len(kept)))
 
 
-def default_pixel_subset(first_order: PixelAttributionMap, quantile: float = 0.95
-                         ) -> np.ndarray:
+def default_pixel_subset(first_order: PixelAttributionMap, quantile: float) -> np.ndarray:
     """Flat indices of pixels whose |attribution| exceeds the given quantile."""
     flat = np.abs(first_order.flat())
     threshold = float(np.quantile(flat, quantile))
@@ -197,7 +198,7 @@ def default_pixel_subset(first_order: PixelAttributionMap, quantile: float = 0.9
 
 def higher_order(params_table, dataset_features, predictions, target_row: int,
                  pixel_subset=None, steps: int = DEFAULT_STEPS,
-                 quantile: float = 0.95,
+                 quantile: float = DEFAULT_QUANTILE,
                  similarity: SimilaritySpec = SimilaritySpec()) -> HigherOrderMaps:
     """Decompose pixel attributions into per-parameter contributions.
 
@@ -238,13 +239,12 @@ def higher_order(params_table, dataset_features, predictions, target_row: int,
 
 
 def influential_cycles(attr_map: PixelAttributionMap, diag, top_k: int,
-                       spec=None) -> list[PixelCycleMatch]:
+                       spec) -> list[PixelCycleMatch]:
     """Top-|attribution| pixels of the diagram's dimension, each matched to
-    the diagram pairs whose (birth, persistence) falls in that bin."""
+    the diagram pairs whose (birth, persistence) falls in that bin of the
+    histogram `spec`."""
     if top_k < 1:
         raise ValueError("top_k must be >= 1")
-    if spec is None:
-        spec = default_spec(diag.dimension)
     bins = attr_map.bins
     if spec.bins_per_axis != bins:
         raise ValueError("attribution map and histogram spec disagree on bins")

@@ -22,7 +22,6 @@ class TrainConfig:
     n_trees: int = 500
     max_features_fraction: float = 1.0
     min_samples_leaf: int = 1
-    bootstrap: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -37,12 +36,13 @@ class TrainConfig:
         return {"n_trees": self.n_trees,
                 "max_features_fraction": self.max_features_fraction,
                 "min_samples_leaf": self.min_samples_leaf,
-                "bootstrap": self.bootstrap, "seed": self.seed}
+                "bootstrap": True,  # every tree is grown on a bootstrap sample
+                "seed": self.seed}
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
         return cls(int(d["n_trees"]), float(d["max_features_fraction"]),
-                   int(d["min_samples_leaf"]), bool(d["bootstrap"]), int(d["seed"]))
+                   int(d["min_samples_leaf"]), int(d["seed"]))
 
 
 @dataclass
@@ -240,11 +240,7 @@ def train(X, y, config: TrainConfig = TrainConfig()) -> Forest:
     trees = []
     for ss in seeds:
         rng = np.random.default_rng(ss)
-        if config.bootstrap:
-            sample_idx = rng.integers(0, n, size=n)
-        else:
-            sample_idx = np.arange(n)
-        trees.append(_grow_tree(X, y, sample_idx, config, rng))
+        trees.append(_grow_tree(X, y, rng.integers(0, n, size=n), config, rng))
     return Forest(trees, config, d)
 
 

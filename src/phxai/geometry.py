@@ -25,6 +25,11 @@ NODES = ("dimer", "triad", "quad", "tetrapod", "axial", "penta")
 EDGES = ("ring4_a", "ring4_b", "ring4_c", "ring5_a",
          "ring5_b", "ring6_a", "ring6_b", "ring6_c")
 
+# scale of the generated structures
+ANCHOR_SPACING = 6.5
+NODE_RADIUS = 1.4
+MAX_LINKER_RINGS = 3
+
 
 class XYZFormatError(ValueError):
     """Malformed XYZ input; the message names the offending line number."""
@@ -141,12 +146,10 @@ PARAM_NAMES = ("template", "node1", "node2", "edge")
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    """Scale knobs for the deterministic structure generator."""
+    """The grid cube the deterministic structure generator centres its
+    structures in."""
 
     grid: GridSpec = field(default_factory=GridSpec)
-    anchor_spacing: float = 6.5
-    node_radius: float = 1.4
-    max_linker_rings: int = 3
 
 
 # ---------------------------------------------------------------------------
@@ -281,20 +284,20 @@ def generate_structure(params: ParamVector, spec: SyntheticSpec = SyntheticSpec(
     if params.edge != NONE_VALUE and params.edge not in EDGES:
         raise ValueError(f"unknown edge {params.edge!r}")
 
-    anchors, adjacency = _template_motif(params.template, spec.anchor_spacing)
+    anchors, adjacency = _template_motif(params.template, ANCHOR_SPACING)
     center = np.array([spec.grid.origin[a] + spec.grid.side / 2.0 for a in range(3)])
     anchors = anchors + center
 
     pts: list[np.ndarray] = [a for a in anchors]
     labels = ["M"] * len(anchors)
 
-    pts.extend(_node_points(params.node1, anchors[0], spec.node_radius))
+    pts.extend(_node_points(params.node1, anchors[0], NODE_RADIUS))
     labels.extend(["N"] * len(_NODE_SHAPES[params.node1][0]))
     if params.node2 != NONE_VALUE:
-        pts.extend(_node_points(params.node2, anchors[1], spec.node_radius))
+        pts.extend(_node_points(params.node2, anchors[1], NODE_RADIUS))
         labels.extend(["O"] * len(_NODE_SHAPES[params.node2][0]))
     if params.edge != NONE_VALUE:
-        for (i, j) in adjacency[::2][:spec.max_linker_rings]:
+        for (i, j) in adjacency[::2][:MAX_LINKER_RINGS]:
             ring = _ring_points(params.edge, anchors[i], anchors[j])
             pts.extend(ring)
             labels.extend(["C"] * len(ring))
@@ -339,8 +342,8 @@ def synthetic_target(cloud: PointCloud, probe_radius: float,
     count, so only those are queried (with one cell of slack against
     rounding); the fraction is still taken over every center.
     """
-    if not probe_radius > 0:
-        raise ValueError("probe_radius must be positive")
+    if not 0 < probe_radius < math.inf:  # NaN too; inf would count no center
+        raise ValueError("probe_radius must be positive and finite")
     if len(cloud) == 0:
         return 0.0
     centers = _cell_centers(spec)

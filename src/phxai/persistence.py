@@ -46,12 +46,6 @@ class PersistenceDiagram:
     dimension: int
     pairs: list[PersistencePair]
 
-    def births(self) -> np.ndarray:
-        return np.array([p.birth for p in self.pairs])
-
-    def deaths(self) -> np.ndarray:
-        return np.array([p.death for p in self.pairs])
-
     def __len__(self) -> int:
         return len(self.pairs)
 
@@ -142,8 +136,7 @@ def _enclosing_radius(dist: np.ndarray) -> float:
     return float((upper + upper.T).max(axis=1).min())
 
 
-def build_rips(dist: np.ndarray, max_dim: int, max_radius: float,
-               max_simplices: int = _ENUMERATION_BUDGET) -> Filtration:
+def build_rips(dist: np.ndarray, max_dim: int, max_radius: float) -> Filtration:
     """Every simplex of dimension <= max_dim whose diameter is at most
     min(max_radius, enclosing radius), sorted filtration-ready.
 
@@ -162,7 +155,7 @@ def build_rips(dist: np.ndarray, max_dim: int, max_radius: float,
     value and the new edges' lengths, which is exactly its diameter.
 
     Raises SimplexBudgetError instead of silently truncating when the
-    C(n, k) candidate count, before the cut, exceeds `max_simplices`.
+    C(n, k) candidate count, before the cut, exceeds `_ENUMERATION_BUDGET`.
     """
     dist = np.asarray(dist, dtype=float)
     n = dist.shape[0]
@@ -171,10 +164,10 @@ def build_rips(dist: np.ndarray, max_dim: int, max_radius: float,
     if not max_radius > 0:  # NaN too: it would cut every edge
         raise ValueError("max_radius must be positive")
     total_candidates = sum(math.comb(n, k) for k in range(2, max_dim + 2))
-    if total_candidates > max_simplices:
+    if total_candidates > _ENUMERATION_BUDGET:
         raise SimplexBudgetError(
             f"{n} points imply up to {total_candidates} simplices,"
-            f" over the budget of {max_simplices}")
+            f" over the budget of {_ENUMERATION_BUDGET}")
 
     near = np.triu(dist <= min(max_radius, _enclosing_radius(dist)), 1)
     verts, values = np.arange(n, dtype=np.int64)[:, None], np.zeros(n)

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from phxai import cli
+from phxai import explain as ex
+from phxai import forest as forest_mod
 from phxai import geometry as geo
 from phxai import persistence as ph
 from phxai import vectorize as vec
@@ -280,6 +282,12 @@ def test_pipeline_blur_wider_than_axis(dataset, tmp_path):
 NAN_FLAGS = {
     "probe_radius": (["gen-data", "--count", 2, "--seed", 2, "--out", "{d}/g",
                       "--probe-radius", "nan"], "probe_radius must be positive"),
+    "probe_radius_inf": (["gen-data", "--count", 2, "--seed", 2, "--out", "{d}/g",
+                          "--probe-radius", "inf"], "probe_radius must be positive"),
+    "max_radius": (["gen-data", "--count", 2, "--seed", 2, "--out", "{d}/g",
+                    "--max-radius", "nan"], "max_radius must be positive"),
+    "max_radius_negative": (["gen-data", "--count", 2, "--seed", 2, "--out", "{d}/g",
+                             "--max-radius", -1], "max_radius must be positive"),
     "h1_pers_max": (["pipeline", "{d}/manifest.json", "--stages", "ph,vectorize",
                      "--h1-pers-max", "nan"], "persistence_max must be positive"),
     "sigma": (["pipeline", "{d}/manifest.json", "--stages", "vectorize",
@@ -295,7 +303,7 @@ NAN_FLAGS = {
 @pytest.mark.parametrize("case", sorted(NAN_FLAGS))
 def test_nan_flag_exits_2_naming_the_parameter(dataset, tmp_path, capsys, case):
     """NaN fails every `x > 0` comparison, so it must not pass a positivity
-    check written as `x <= 0`."""
+    check written as `x <= 0`; a probe radius must be finite as well."""
     argv, message = NAN_FLAGS[case]
     copy = tmp_path / "d"
     shutil.copytree(dataset, copy)
@@ -321,6 +329,33 @@ def test_pipeline_feature_subsampling_and_min_leaf(dataset, tmp_path):
             assert n_samples[tree["left"][k]] >= 3 and n_samples[tree["right"][k]] >= 3
     assert run(*argv) == 0
     assert (copy / "model.json").read_bytes() == first
+
+def test_explain_uses_the_stored_predictions(dataset, tmp_path, capsys):
+    """`train` clears the predictions of the model it replaces, explain
+    modes that read them exit 2 until `predict` runs again, and the pixel
+    maps then explain exactly what `predict` stored."""
+    copy = tmp_path / "d"
+    shutil.copytree(dataset, copy)
+    manifest = copy / "manifest.json"
+    assert run("pipeline", manifest, "--stages", "train", "--trees", 4, "--seed", 2) == 0
+    assert all(item["prediction"] is None
+               for item in json.loads(manifest.read_text())["items"])
+    for mode in ("pixels", "params", "higher"):
+        capsys.readouterr()
+        assert run("explain", manifest, "--mode", mode, "--target", "item_0001") == 2
+        assert "pipeline --stages predict" in capsys.readouterr().err
+    assert run("pipeline", manifest, "--stages", "predict") == 0
+    assert run("explain", manifest, "--mode", "pixels", "--target", "item_0001",
+               "--steps", 10, "--top-k", 1) == 0
+    m = cli.load_manifest(manifest)
+    _, X = cli._load_features(m)
+    amap = ex.pixel_attribution(X, forest_mod.predict_batch(cli._load_model(m), X), 1,
+                                steps=10)
+    for dim, grid in ((1, amap.h1), (2, amap.h2)):
+        cli._write_grid_csv(tmp_path / "expected.csv", grid)
+        written = copy / "attributions" / f"pixels_item_0001_h{dim}.csv"
+        assert written.read_bytes() == (tmp_path / "expected.csv").read_bytes()
+
 
 def test_pipeline_missing_stage_inputs(tmp_path):
     out = tmp_path / "d"

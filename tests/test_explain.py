@@ -234,7 +234,8 @@ def test_quantile_bounds_computed_pixels(rng):
 def test_empty_diagram_all_unmatched():
     amap = ex.PixelAttributionMap(np.random.default_rng(0).uniform(size=(54, 54)),
                                   np.zeros((54, 54)), 0.0, 0.0)
-    out = ex.influential_cycles(amap, ph.PersistenceDiagram(1, []), top_k=4)
+    out = ex.influential_cycles(amap, ph.PersistenceDiagram(1, []), top_k=4,
+                                spec=vec.default_spec(1))
     assert len(out) == 4
     assert all(m.pairs == () for m in out)
 

@@ -147,10 +147,13 @@ def test_build_rips_equals_subset_oracle(rng):
 
 
 def test_budget_error():
+    """93 points are the fewest whose C(n, 2..4) candidates exceed the
+    enumeration budget; the check runs before any simplex is listed."""
     rng = np.random.default_rng(0)
-    d = geo.pairwise_distances(geo.PointCloud(rng.normal(size=(40, 3))))
+    d = geo.pairwise_distances(geo.PointCloud(rng.normal(size=(93, 3))))
     with pytest.raises(ph.SimplexBudgetError):
-        ph.build_rips(d, 3, 100.0, max_simplices=1000)
+        ph.build_rips(d, 3, 100.0)
+    ph.build_rips(d[:92, :92], 3, 0.1)
 
 
 # ---------------------------------------------------------------------------
