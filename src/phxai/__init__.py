@@ -15,7 +15,7 @@ from .xai import (Attribution, CohortIndicatorMatrix, SimilaritySpec, cohort_sha
                   cohort_value, igcs, multilinear_gradient, multilinear_value,
                   similarity_matrix)
 from .explain import (GridAttribution, HigherOrderMaps, ParamAttribution,
-                      PixelAttributionMap, grid_based_explanation, higher_order,
-                      influential_cycles, param_attribution, pixel_attribution)
+                      grid_based_explanation, higher_order, influential_cycles,
+                      param_attribution, pixel_attribution)
 
 __version__ = "0.1.0"

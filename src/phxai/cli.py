@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -49,9 +50,20 @@ def _write_json(path: Path, obj) -> None:
     _atomic_write_bytes(path, (json.dumps(obj, sort_keys=True, indent=1) + "\n").encode())
 
 
+def _csv_row(row: np.ndarray) -> str:
+    return ",".join(map(repr, row.tolist()))
+
+
 def _write_grid_csv(path: Path, grid: np.ndarray) -> None:
-    lines = [",".join(repr(float(v)) for v in row) for row in grid]
+    lines = [_csv_row(row) for row in grid]
     _atomic_write_bytes(path, ("\n".join(lines) + "\n").encode())
+
+
+def _write_pixel_grids(stem: Path, flat: np.ndarray) -> None:
+    """Write a flat vector in `features` order as `<stem>_h1.csv` and
+    `<stem>_h2.csv`, one bins x bins grid each."""
+    for dim, grid in enumerate(vec.split_features(flat), start=1):
+        _write_grid_csv(Path(f"{stem}_h{dim}.csv"), grid)
 
 
 def read_grid_csv(path) -> np.ndarray:
@@ -62,6 +74,11 @@ def read_grid_csv(path) -> np.ndarray:
     if not rows or any(len(r) != len(rows[0]) for r in rows):
         raise DataError(f"{path}: not a rectangular CSV grid")
     return np.array(rows)
+
+
+def _check_max_radius(max_radius: float) -> None:
+    if not 0 < max_radius < math.inf:  # NaN too; inf is not valid JSON
+        raise DataError("max_radius must be positive and finite")
 
 
 def _flags(args) -> dict:
@@ -205,27 +222,28 @@ def _predictions(m: dict) -> np.ndarray:
 def cmd_gen_data(args) -> int:
     if args.count < 1:
         raise DataError("--count must be >= 1")
-    if not args.max_radius > 0:  # NaN too, as in build_rips
-        raise DataError("max_radius must be positive")
+    _check_max_radius(args.max_radius)
     vocab = geo.iter_param_vectors()
     if args.count > len(vocab):
         raise DataError(f"--count {args.count} exceeds the {len(vocab)} distinct"
                         " parameter vectors")
-    out = Path(args.out)
-    (out / "clouds").mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(args.seed)
     chosen = rng.permutation(len(vocab))[:args.count]
     synth = geo.SyntheticSpec()
-    items = []
-    for k, vi in enumerate(chosen):
+    clouds, items = [], []
+    for k, vi in enumerate(chosen):  # all in memory: a bad flag leaves no files
         params = vocab[int(vi)]
         cloud = geo.generate_structure(params, synth)
         item_id = f"item_{k:04d}"
-        rel = f"clouds/{item_id}.xyz"
-        geo.save_xyz(cloud, out / rel, comment=item_id)
-        target = geo.synthetic_target(cloud, args.probe_radius, synth.grid)
-        items.append({"id": item_id, "params": params.to_dict(), "cloud": rel,
-                      "target": target, "prediction": None})
+        clouds.append(cloud)
+        items.append({"id": item_id, "params": params.to_dict(),
+                      "cloud": f"clouds/{item_id}.xyz",
+                      "target": geo.synthetic_target(cloud, args.probe_radius, synth.grid),
+                      "prediction": None})
+    out = Path(args.out)
+    (out / "clouds").mkdir(parents=True, exist_ok=True)
+    for cloud, item in zip(clouds, items):
+        geo.save_xyz(cloud, out / item["cloud"], comment=item["id"])
     manifest = {
         "format_version": FORMAT_VERSION,
         "dataset_id": f"synthetic-{args.seed}",
@@ -255,6 +273,7 @@ def _stage_ph(m: dict, args) -> dict:
     """Write each item's diagram; return points, simplices per dimension and
     pairs per dimension, summed over the items."""
     if args.max_radius is not None:
+        _check_max_radius(args.max_radius)
         m["rips"]["max_radius"] = args.max_radius
     out = m["_dir"] / "diagrams"
     out.mkdir(exist_ok=True)
@@ -303,13 +322,13 @@ def _stage_vectorize(m: dict, args) -> dict:
         img1, img2 = vec.landscapes(_pairs_from_records(records), h1s, h2s)
         dropped["h1"] += img1.dropped
         dropped["h2"] += img2.dropped
-        _write_grid_csv(land_dir / f"{item['id']}_h1.csv", img1.values)
-        _write_grid_csv(land_dir / f"{item['id']}_h2.csv", img2.values)
-        feature_rows.append((item["id"], vec.features(img1, img2)))
+        row = vec.features(img1, img2)
+        _write_pixel_grids(land_dir / item["id"], row)
+        feature_rows.append((item["id"], row))
     header = "id," + ",".join(f"f{i}" for i in range(len(feature_rows[0][1])))
     lines = [header]
     for item_id, row in feature_rows:
-        lines.append(item_id + "," + ",".join(repr(float(v)) for v in row))
+        lines.append(item_id + "," + _csv_row(row))
     _atomic_write_bytes(m["_dir"] / "features.csv", ("\n".join(lines) + "\n").encode())
     m["_features"] = ([item_id for item_id, _ in feature_rows],
                       np.array([row for _, row in feature_rows]))
@@ -339,8 +358,7 @@ def _stage_train(m: dict, args) -> float | None:
         else:
             imp = forest_mod.permutation_importance(model, X[:n_train], y[:n_train],
                                                     repeats=3, seed=args.seed)
-        _atomic_write_bytes(m["_dir"] / f"importance_{args.importance}.csv",
-                            ("\n".join(repr(float(v)) for v in imp) + "\n").encode())
+        _write_grid_csv(m["_dir"] / f"importance_{args.importance}.csv", imp[:, None])
     if holdout:
         score = forest_mod.r2(forest_mod.predict_batch(model, X[n_train:]), y[n_train:])
         print(f"holdout R^2 over {holdout} items: {score:.4f}")
@@ -366,10 +384,8 @@ def cmd_pipeline(args) -> int:
             raise DataError(f"unknown stage {s!r}; choose from ph,vectorize,train,predict")
     results = {s: known[s](m, args) for s in stages}
     _save_manifest(m)
-    log = {"command": "pipeline", "stages": stages, "trees": args.trees,
-           "seed": args.seed, "holdout": args.holdout,
-           "max_radius": m["rips"]["max_radius"],
-           "histograms": m["histograms"]}
+    log = dict(_flags(args), stages=stages, max_radius=m["rips"]["max_radius"],
+               histograms=m["histograms"])
     for s in ("ph", "vectorize"):
         if s in results:
             log[s] = results[s]
@@ -395,14 +411,13 @@ def _pipeline_scorer(m: dict, model: forest_mod.Forest):
 def _explain_pixels(m: dict, args, target_idx: int, out_dir: Path) -> None:
     y = _predictions(m)
     ids, X = _load_features(m)
-    amap = explain_mod.pixel_attribution(X, y, target_idx,
-                                         SimilaritySpec(ratio=args.ratio), args.steps)
+    att = explain_mod.pixel_attribution(X, y, target_idx,
+                                        SimilaritySpec(ratio=args.ratio), args.steps)
     item_id = m["items"][target_idx]["id"]
-    _write_grid_csv(out_dir / f"pixels_{item_id}_h1.csv", amap.h1)
-    _write_grid_csv(out_dir / f"pixels_{item_id}_h2.csv", amap.h2)
+    _write_pixel_grids(out_dir / f"pixels_{item_id}", att.values)
     _write_json(out_dir / f"pixels_{item_id}.json",
-                {"baseline": amap.baseline, "total": amap.total,
-                 "sum": float(amap.flat().sum()), "steps": args.steps,
+                {"baseline": att.baseline, "total": att.total,
+                 "sum": float(att.values.sum()), "steps": args.steps,
                  "ratio": args.ratio})
 
     # match influential pixels back to the target's diagram pairs and dump
@@ -412,7 +427,7 @@ def _explain_pixels(m: dict, args, target_idx: int, out_dir: Path) -> None:
     h1s, h2s = _manifest_specs(m)
     cycles = []
     for dim, spec in ((1, h1s), (2, h2s)):
-        matches = explain_mod.influential_cycles(amap, ph.diagram(pairs, dim),
+        matches = explain_mod.influential_cycles(att.values, ph.diagram(pairs, dim),
                                                  args.top_k, spec)
         for match in matches:
             for pair in match.pairs:
@@ -461,9 +476,8 @@ def _explain_higher(m: dict, args, target_idx: int, out_dir: Path) -> None:
                                     quantile=args.pixel_quantile,
                                     similarity=SimilaritySpec(ratio=args.ratio))
     item_id = m["items"][target_idx]["id"]
-    for name, amap in maps.maps.items():
-        _write_grid_csv(out_dir / f"higher_{item_id}_{name}_h1.csv", amap.h1)
-        _write_grid_csv(out_dir / f"higher_{item_id}_{name}_h2.csv", amap.h2)
+    for name, flat in maps.maps.items():
+        _write_pixel_grids(out_dir / f"higher_{item_id}_{name}", flat)
     computed = np.flatnonzero(maps.computed)
     _write_json(out_dir / f"higher_{item_id}.json", {
         "computed_pixels": [int(p) for p in computed],

@@ -15,35 +15,10 @@ import numpy as np
 
 from .geometry import GridSpec, PointCloud, grid_counts, point_cell_indices, PARAM_NAMES
 from .vectorize import pixel_of_pair, split_features
-from .xai import (SimilaritySpec, cohort_shapley, igcs, similarity_matrix,
+from .xai import (Attribution, SimilaritySpec, cohort_shapley, igcs, similarity_matrix,
                   DEFAULT_STEPS)
 
 DEFAULT_QUANTILE = 0.95
-
-
-@dataclass
-class PixelAttributionMap:
-    """Two bins x bins grids aligned with the landscape images; grid sums
-    bridge baseline -> total up to the attribution method's tolerance."""
-
-    h1: np.ndarray
-    h2: np.ndarray
-    baseline: float
-    total: float
-
-    @property
-    def bins(self) -> int:
-        return self.h1.shape[0]
-
-    def flat(self) -> np.ndarray:
-        return np.concatenate([self.h1.ravel(), self.h2.ravel()])
-
-    def grid(self, dimension: int) -> np.ndarray:
-        if dimension == 1:
-            return self.h1
-        if dimension == 2:
-            return self.h2
-        raise ValueError("dimension must be 1 or 2")
 
 
 @dataclass
@@ -98,17 +73,17 @@ class ParamAttribution:
 
 @dataclass
 class HigherOrderMaps:
-    """One pixel grid pair per generator parameter.
+    """One flat pixel map per generator parameter, in `features` order.
 
     At every computed pixel the four parameter values sum (exactly, by
     Shapley efficiency) to that pixel's full-cohort value minus the
     reported per-pixel baseline, the dataset-mean attribution there.
     """
 
-    maps: dict[str, PixelAttributionMap]
+    maps: dict[str, np.ndarray]
     pixel_baseline: np.ndarray   # flat, dataset-mean attribution per computed pixel
     computed: np.ndarray         # flat bool mask of computed pixels
-    first_order: PixelAttributionMap
+    first_order: Attribution
 
 
 @dataclass(frozen=True)
@@ -125,16 +100,14 @@ class PixelCycleMatch:
 
 def pixel_attribution(dataset_features, predictions, target_row: int,
                       similarity: SimilaritySpec = SimilaritySpec(),
-                      steps: int = DEFAULT_STEPS) -> PixelAttributionMap:
+                      steps: int = DEFAULT_STEPS) -> Attribution:
     """IGCS over the flattened landscape pixels with the model's own
-    predictions as the explained output, reshaped into H1/H2 grids."""
+    predictions as the explained output; values stay in `features` order."""
     X = np.asarray(dataset_features, dtype=float)
     y = np.asarray(predictions, dtype=float)
     split_features(np.zeros(X.shape[1]))  # reject a bad width before the cohort is built
     cohort = similarity_matrix(X, target_row, similarity)
-    att = igcs(cohort, y, steps)
-    h1, h2 = split_features(att.values)
-    return PixelAttributionMap(h1, h2, att.baseline, att.total)
+    return igcs(cohort, y, steps)
 
 
 def _param_cohort(params_table, target_row: int):
@@ -189,9 +162,9 @@ def grid_based_explanation(target_cloud: PointCloud, cohort_clouds, pipeline,
                            n_dropped=int(spec.n_cells - len(kept)))
 
 
-def default_pixel_subset(first_order: PixelAttributionMap, quantile: float) -> np.ndarray:
+def default_pixel_subset(first_order: Attribution, quantile: float) -> np.ndarray:
     """Flat indices of pixels whose |attribution| exceeds the given quantile."""
-    flat = np.abs(first_order.flat())
+    flat = np.abs(first_order.values)
     threshold = float(np.quantile(flat, quantile))
     return np.flatnonzero(flat > threshold)
 
@@ -221,34 +194,30 @@ def higher_order(params_table, dataset_features, predictions, target_row: int,
         attr[i] = igcs(row_cohort, y, steps).values[pixel_subset]
 
     param_cohort = _param_cohort(params_table, target_row)
-    flat_maps = {name: np.zeros(d) for name in PARAM_NAMES}
+    maps = {name: np.zeros(d) for name in PARAM_NAMES}
     baseline = np.zeros(d)
     computed = np.zeros(d, dtype=bool)
     for col, p in enumerate(pixel_subset):
         cs = cohort_shapley(param_cohort, attr[:, col])
         for name, v in zip(PARAM_NAMES, cs.values):
-            flat_maps[name][p] = v
+            maps[name][p] = v
         baseline[p] = cs.baseline
         computed[p] = True
-
-    maps = {}
-    for name in PARAM_NAMES:
-        h1, h2 = split_features(flat_maps[name])
-        maps[name] = PixelAttributionMap(h1, h2, 0.0, 0.0)
     return HigherOrderMaps(maps, baseline, computed, first)
 
 
-def influential_cycles(attr_map: PixelAttributionMap, diag, top_k: int,
-                       spec) -> list[PixelCycleMatch]:
+def influential_cycles(values, diag, top_k: int, spec) -> list[PixelCycleMatch]:
     """Top-|attribution| pixels of the diagram's dimension, each matched to
     the diagram pairs whose (birth, persistence) falls in that bin of the
-    histogram `spec`."""
+    histogram `spec`. `values` is a flat attribution in `features` order."""
     if top_k < 1:
         raise ValueError("top_k must be >= 1")
-    bins = attr_map.bins
+    if diag.dimension not in (1, 2):
+        raise ValueError("dimension must be 1 or 2")
+    grid = split_features(values)[diag.dimension - 1]
+    bins = grid.shape[0]
     if spec.bins_per_axis != bins:
         raise ValueError("attribution map and histogram spec disagree on bins")
-    grid = attr_map.grid(diag.dimension)
     flat = grid.ravel()
     order = np.lexsort((np.arange(len(flat)), -np.abs(flat)))[:top_k]
 

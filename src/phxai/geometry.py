@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import product
 from pathlib import Path
 
@@ -321,14 +320,6 @@ def iter_param_vectors() -> list[ParamVector]:
 # ---------------------------------------------------------------------------
 # Target surrogate, perturbation, distances
 
-@lru_cache(maxsize=8)
-def _cell_centers(spec: GridSpec) -> np.ndarray:
-    c = spec.cells_per_axis
-    ax = np.array(spec.origin)[:, None] + (np.arange(c) + 0.5) * spec.cell_size
-    gx, gy, gz = np.meshgrid(ax[0], ax[1], ax[2], indexing="ij")
-    return np.column_stack([gx.ravel(), gy.ravel(), gz.ravel()])
-
-
 def synthetic_target(cloud: PointCloud, probe_radius: float,
                      spec: GridSpec = GridSpec()) -> float:
     """Void-shell fraction: percentage of grid-cell centers whose nearest
@@ -346,11 +337,10 @@ def synthetic_target(cloud: PointCloud, probe_radius: float,
         raise ValueError("probe_radius must be positive and finite")
     if len(cloud) == 0:
         return 0.0
-    centers = _cell_centers(spec)
     near = _centers_in_box(spec, cloud.points.min(axis=0) - 2.0 * probe_radius,
                            cloud.points.max(axis=0) + 2.0 * probe_radius)
     dist, _ = cKDTree(cloud.points).query(near)
-    frac = np.count_nonzero((dist >= probe_radius) & (dist < 2.0 * probe_radius)) / len(centers)
+    frac = np.count_nonzero((dist >= probe_radius) & (dist < 2.0 * probe_radius)) / spec.n_cells
     return 100.0 * frac
 
 
@@ -360,8 +350,10 @@ def _centers_in_box(spec: GridSpec, lo: np.ndarray, hi: np.ndarray) -> np.ndarra
     origin = np.array(spec.origin)
     first = np.clip(np.floor((lo - origin) / spec.cell_size) - 1, 0, c).astype(int)
     stop = np.clip(np.floor((hi - origin) / spec.cell_size) + 2, 0, c).astype(int)
-    block = _cell_centers(spec).reshape(c, c, c, 3)
-    return block[first[0]:stop[0], first[1]:stop[1], first[2]:stop[2]].reshape(-1, 3)
+    ax = [origin[k] + (np.arange(first[k], stop[k]) + 0.5) * spec.cell_size
+          for k in range(3)]
+    gx, gy, gz = np.meshgrid(*ax, indexing="ij")
+    return np.column_stack([gx.ravel(), gy.ravel(), gz.ravel()])
 
 
 def perturb(cloud: PointCloud, length: float, seed: int) -> PointCloud:

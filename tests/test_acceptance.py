@@ -10,6 +10,7 @@ import time
 from itertools import permutations, product
 
 import numpy as np
+import pytest
 
 from phxai import cli
 from phxai import explain as ex
@@ -231,6 +232,7 @@ def _extract_features(param_indices, probe_radius=2.0):
     return params, X, y
 
 
+@pytest.mark.slow
 def test_criterion_7_pipeline_learnability():
     t0 = time.monotonic()
     rng = np.random.default_rng(2024)
@@ -244,6 +246,7 @@ def test_criterion_7_pipeline_learnability():
     report(7, f"1000-item run: holdout R^2 {score:.3f} (>= 0.75) in {elapsed:.0f}s (< 600s)")
 
 
+@pytest.mark.slow
 def test_criterion_8_grid_based_explanation():
     t0 = time.monotonic()
     rng = np.random.default_rng(808)
@@ -292,8 +295,8 @@ def test_criterion_9_higher_order_decomposition():
     maps = ex.higher_order(params, X, y, 0, steps=40, quantile=0.5)
     computed = np.flatnonzero(maps.computed)
     assert len(computed) > 0
-    total = sum(maps.maps[name].flat() for name in geo.PARAM_NAMES)
-    first = maps.first_order.flat()
+    total = sum(maps.maps[name] for name in geo.PARAM_NAMES)
+    first = maps.first_order.values
     for p in computed:
         assert abs(total[p] - (first[p] - maps.pixel_baseline[p])) <= 1e-9
 
@@ -306,7 +309,7 @@ def test_criterion_9_higher_order_decomposition():
     Xc[:, pixel] = [1.0 if e == "ring4_a" else 3.0 for e in edges]
     yc = 2.0 * Xc[:, pixel]
     maps = ex.higher_order(params, Xc, yc, 0, pixel_subset=[pixel], steps=50)
-    magnitudes = {name: abs(maps.maps[name].flat()[pixel]) for name in geo.PARAM_NAMES}
+    magnitudes = {name: abs(maps.maps[name][pixel]) for name in geo.PARAM_NAMES}
     share = magnitudes["edge"] / sum(magnitudes.values())
     assert share >= 0.95
     report(9, f"per-pixel efficiency to 1e-9 on {len(computed)} pixels;"

@@ -288,6 +288,10 @@ NAN_FLAGS = {
                     "--max-radius", "nan"], "max_radius must be positive"),
     "max_radius_negative": (["gen-data", "--count", 2, "--seed", 2, "--out", "{d}/g",
                              "--max-radius", -1], "max_radius must be positive"),
+    "max_radius_inf": (["gen-data", "--count", 2, "--seed", 2, "--out", "{d}/g",
+                        "--max-radius", "inf"], "max_radius must be positive"),
+    "pipeline_max_radius_inf": (["pipeline", "{d}/manifest.json", "--stages", "ph",
+                                 "--max-radius", "inf"], "max_radius must be positive"),
     "h1_pers_max": (["pipeline", "{d}/manifest.json", "--stages", "ph,vectorize",
                      "--h1-pers-max", "nan"], "persistence_max must be positive"),
     "sigma": (["pipeline", "{d}/manifest.json", "--stages", "vectorize",
@@ -309,6 +313,36 @@ def test_nan_flag_exits_2_naming_the_parameter(dataset, tmp_path, capsys, case):
     shutil.copytree(dataset, copy)
     assert run(*(str(a).format(d=copy) for a in argv)) == 2
     assert message in capsys.readouterr().err
+
+
+def test_gen_data_bad_probe_radius_writes_nothing(tmp_path):
+    out = tmp_path / "g"
+    assert run("gen-data", "--count", 2, "--seed", 2, "--out", out,
+               "--probe-radius", "inf") == 2
+    assert not out.exists()
+
+
+def test_pipeline_run_log_records_every_flag(dataset, tmp_path):
+    """The pipeline record holds every flag, with the parsed stages and the
+    effective radius and histograms laid over them; the keys it held
+    before keep their values."""
+    copy = tmp_path / "d"
+    shutil.copytree(dataset, copy)
+    assert run("pipeline", copy / "manifest.json", "--stages", "vectorize,train",
+               "--trees", 3, "--holdout", 2, "--max-features", 0.4, "--min-leaf", 2,
+               "--importance", "impurity", "--sigma", 0.2, "--h2-pers-max", 3.0) == 0
+    record = json.loads((copy / "run_log.jsonl").read_text().splitlines()[-1])
+    m = json.loads((copy / "manifest.json").read_text())
+    flags = {"max_features": 0.4, "min_leaf": 2, "importance": "impurity", "sigma": 0.2,
+             "h2_pers_max": 3.0, "bins": None, "h1_birth_max": None, "h1_pers_max": None,
+             "h2_birth_max": None}
+    assert {k: record[k] for k in flags} == flags
+    old = {"command": "pipeline", "stages": ["vectorize", "train"], "trees": 3,
+           "seed": 0, "holdout": 2, "max_radius": m["rips"]["max_radius"],
+           "histograms": m["histograms"], "format_version": cli.FORMAT_VERSION}
+    assert {k: record[k] for k in old} == old
+    assert m["histograms"]["h2"]["persistence_max"] == 3.0
+    assert set(record) == set(flags) | set(old) | {"vectorize", "holdout_r2"}
 
 
 def test_pipeline_feature_subsampling_and_min_leaf(dataset, tmp_path):
@@ -349,9 +383,9 @@ def test_explain_uses_the_stored_predictions(dataset, tmp_path, capsys):
                "--steps", 10, "--top-k", 1) == 0
     m = cli.load_manifest(manifest)
     _, X = cli._load_features(m)
-    amap = ex.pixel_attribution(X, forest_mod.predict_batch(cli._load_model(m), X), 1,
-                                steps=10)
-    for dim, grid in ((1, amap.h1), (2, amap.h2)):
+    att = ex.pixel_attribution(X, forest_mod.predict_batch(cli._load_model(m), X), 1,
+                               steps=10)
+    for dim, grid in enumerate(vec.split_features(att.values), start=1):
         cli._write_grid_csv(tmp_path / "expected.csv", grid)
         written = copy / "attributions" / f"pixels_item_0001_h{dim}.csv"
         assert written.read_bytes() == (tmp_path / "expected.csv").read_bytes()

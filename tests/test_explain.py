@@ -23,15 +23,15 @@ def small_features(rng, n, bins=2):
 def test_identical_rows_zero_map(rng):
     X = np.tile(rng.uniform(size=8), (6, 1))
     y = rng.normal(size=6)
-    amap = ex.pixel_attribution(X, y, 0, steps=50)
-    assert not amap.flat().any()
+    att = ex.pixel_attribution(X, y, 0, steps=50)
+    assert not att.values.any()
 
 
 def test_pixel_completeness(rng):
     X = small_features(rng, 20)
     y = rng.normal(size=20)
-    amap = ex.pixel_attribution(X, y, 3, steps=500)
-    assert abs(amap.flat().sum() - (amap.total - amap.baseline)) <= 1e-3
+    att = ex.pixel_attribution(X, y, 3, steps=500)
+    assert abs(att.values.sum() - (att.total - att.baseline)) <= 1e-3
 
 
 def test_constant_h2_half_gets_zero(rng):
@@ -39,14 +39,15 @@ def test_constant_h2_half_gets_zero(rng):
     X = small_features(rng, 15, bins)
     X[:, bins * bins:] = 7.5  # constant H2 half
     y = X[:, 0] * 2.0 + rng.normal(size=15) * 0.1
-    amap = ex.pixel_attribution(X, y, 2, steps=50)
-    assert np.abs(amap.h2).max() < 1e-6
+    att = ex.pixel_attribution(X, y, 2, steps=50)
+    assert np.abs(vec.split_features(att.values)[1]).max() < 1e-6
 
 
 def test_pixel_map_shape_matches_bins(rng):
     X = small_features(rng, 10, bins=3)
-    amap = ex.pixel_attribution(X, rng.normal(size=10), 0, steps=10)
-    assert amap.h1.shape == amap.h2.shape == (3, 3)
+    att = ex.pixel_attribution(X, rng.normal(size=10), 0, steps=10)
+    h1, h2 = vec.split_features(att.values)
+    assert h1.shape == h2.shape == (3, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +183,7 @@ def test_same_params_everywhere_all_maps_zero(rng):
     y = rng.normal(size=n)
     maps = ex.higher_order(table, X, y, 0, pixel_subset=[0, 3], steps=20)
     for name in geo.PARAM_NAMES:
-        assert not maps.maps[name].flat().any()
+        assert not maps.maps[name].any()
 
 
 def test_per_pixel_efficiency_identity(rng):
@@ -194,8 +195,8 @@ def test_per_pixel_efficiency_identity(rng):
     maps = ex.higher_order(table, X, y, 2, steps=30, quantile=0.5)
     computed = np.flatnonzero(maps.computed)
     assert len(computed) > 0
-    total = sum(maps.maps[name].flat() for name in geo.PARAM_NAMES)
-    first = maps.first_order.flat()
+    total = sum(maps.maps[name] for name in geo.PARAM_NAMES)
+    first = maps.first_order.values
     for p in computed:
         # unique parameter combos: the full-coalition cohort is the target
         # alone, so parameter values bridge dataset-mean -> first-order value
@@ -212,7 +213,7 @@ def test_single_parameter_controls_pixel(rng):
     X[:, p] = [1.0 if e == "ring4_a" else 3.0 for e in edges]
     y = X[:, p] * 2.0
     maps = ex.higher_order(table, X, y, 0, pixel_subset=[p], steps=50)
-    contributions = {name: abs(maps.maps[name].flat()[p]) for name in geo.PARAM_NAMES}
+    contributions = {name: abs(maps.maps[name][p]) for name in geo.PARAM_NAMES}
     total = sum(contributions.values())
     assert total > 0
     assert contributions["edge"] / total >= 0.95
@@ -232,12 +233,19 @@ def test_quantile_bounds_computed_pixels(rng):
 # influential_cycles
 
 def test_empty_diagram_all_unmatched():
-    amap = ex.PixelAttributionMap(np.random.default_rng(0).uniform(size=(54, 54)),
-                                  np.zeros((54, 54)), 0.0, 0.0)
-    out = ex.influential_cycles(amap, ph.PersistenceDiagram(1, []), top_k=4,
+    values = np.concatenate([np.random.default_rng(0).uniform(size=54 * 54),
+                             np.zeros(54 * 54)])
+    out = ex.influential_cycles(values, ph.PersistenceDiagram(1, []), top_k=4,
                                 spec=vec.default_spec(1))
     assert len(out) == 4
     assert all(m.pairs == () for m in out)
+
+
+@pytest.mark.parametrize("dimension", [0, 3])
+def test_influential_cycles_rejects_other_dimensions(dimension):
+    with pytest.raises(ValueError, match="dimension must be 1 or 2"):
+        ex.influential_cycles(np.zeros(2 * 54 * 54), ph.PersistenceDiagram(dimension, []),
+                              top_k=1, spec=vec.default_spec(1))
 
 
 def test_single_pair_matched_in_top_bin():
@@ -245,8 +253,8 @@ def test_single_pair_matched_in_top_bin():
     pair = ph.PersistencePair(1, 13.5, 17.9, -1, -1)  # bins (27, 26): see test_vectorize
     grid = np.zeros((54, 54))
     grid[27, 26] = 5.0
-    amap = ex.PixelAttributionMap(grid, np.zeros((54, 54)), 0.0, 0.0)
-    out = ex.influential_cycles(amap, ph.PersistenceDiagram(1, [pair]), top_k=1, spec=spec)
+    values = np.concatenate([grid.ravel(), np.zeros(54 * 54)])
+    out = ex.influential_cycles(values, ph.PersistenceDiagram(1, [pair]), top_k=1, spec=spec)
     assert out[0].pairs == (pair,)
     assert (out[0].birth_bin, out[0].persistence_bin) == (27, 26)
     assert out[0].value == 5.0
@@ -267,7 +275,7 @@ def test_circle_plus_noise_dominant_pair_matches_top_pixel(rng):
         i = int(p.birth / spec.birth_max * 54)
         j = int((p.death - p.birth) / spec.persistence_max * 54)
         grid[i, j] = max(grid[i, j], p.persistence)
-    amap = ex.PixelAttributionMap(grid, np.zeros((54, 54)), 0.0, 0.0)
-    out = ex.influential_cycles(amap, h1, top_k=1, spec=spec)
+    values = np.concatenate([grid.ravel(), np.zeros(54 * 54)])
+    out = ex.influential_cycles(values, h1, top_k=1, spec=spec)
     dominant = max(h1.pairs, key=lambda p: p.persistence)
     assert dominant in out[0].pairs
