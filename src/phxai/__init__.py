@@ -14,8 +14,8 @@ from .forest import (Forest, TrainConfig, impurity_importance,
 from .xai import (Attribution, CohortIndicatorMatrix, SimilaritySpec, cohort_shapley,
                   cohort_value, igcs, multilinear_gradient, multilinear_value,
                   similarity_matrix)
-from .explain import (GridAttribution, HigherOrderMaps, ParamAttribution,
-                      grid_based_explanation, higher_order, influential_cycles,
-                      param_attribution, pixel_attribution)
+from .explain import (GridAttribution, HigherOrderMaps, grid_based_explanation,
+                      higher_order, influential_cycles, param_attribution,
+                      pixel_attribution)
 
 __version__ = "0.1.0"

@@ -76,9 +76,9 @@ def read_grid_csv(path) -> np.ndarray:
     return np.array(rows)
 
 
-def _check_max_radius(max_radius: float) -> None:
+def _check_max_radius(max_radius: float, where: str = "") -> None:
     if not 0 < max_radius < math.inf:  # NaN too; inf is not valid JSON
-        raise DataError("max_radius must be positive and finite")
+        raise DataError(f"{where}max_radius must be positive and finite")
 
 
 def _flags(args) -> dict:
@@ -92,6 +92,23 @@ def _append_run_log(out_dir: Path, record: dict) -> None:
         fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_finite(v) -> bool:
+    return _is_number(v) and -math.inf < v < math.inf  # NaN fails both
+
+
+def _check(path: Path, key: str, value, ok, what: str) -> None:
+    if not ok(value):
+        raise DataError(f"{path}: '{key}' must be {what}, not {value!r}")
+
+
 def load_manifest(path) -> dict:
     path = Path(path)
     if not path.exists():
@@ -102,27 +119,37 @@ def load_manifest(path) -> dict:
     if m.get("format_version") != FORMAT_VERSION:
         raise DataError(f"{path}: format_version {m.get('format_version')!r},"
                         f" expected {FORMAT_VERSION!r}")
-    for key in ("items", "rips", "histograms"):
+    for key in ("items", "rips", "histograms", "grid"):
         if key not in m:
             raise DataError(f"{path}: missing key {key!r}")
-    for section, keys in (("rips", ("max_dim", "max_radius")), ("histograms", ("h1", "h2"))):
+    for section, keys in (("rips", ("max_dim", "max_radius")), ("histograms", ("h1", "h2")),
+                          ("grid", ("origin", "cell_size", "cells_per_axis"))):
         if not isinstance(m[section], dict):
             raise DataError(f"{path}: {section!r} is not an object")
         for key in keys:
             if key not in m[section]:
                 raise DataError(f"{path}: missing key '{section}.{key}'")
-    max_dim, max_radius = m["rips"]["max_dim"], m["rips"]["max_radius"]
-    if isinstance(max_dim, bool) or not isinstance(max_dim, int):
-        raise DataError(f"{path}: 'rips.max_dim' must be an integer, not {max_dim!r}")
-    if isinstance(max_radius, bool) or not isinstance(max_radius, (int, float)):
-        raise DataError(f"{path}: 'rips.max_radius' must be a number, not {max_radius!r}")
-    for key in ("h1", "h2"):
+    max_radius = m["rips"]["max_radius"]
+    _check(path, "rips.max_dim", m["rips"]["max_dim"], _is_int, "an integer")
+    _check(path, "rips.max_radius", max_radius, _is_number, "a number")
+    _check_max_radius(max_radius, f"{path}: 'rips.max_radius' is {max_radius!r}; ")
+    grid = m["grid"]
+    _check(path, "grid.origin", grid["origin"],
+           lambda v: isinstance(v, list) and len(v) == 3 and all(map(_is_finite, v)),
+           "a list of three numbers")
+    _check(path, "grid.cell_size", grid["cell_size"], _is_finite, "a finite number")
+    _check(path, "grid.cells_per_axis", grid["cells_per_axis"], _is_int, "an integer")
+    for key, from_dict, spec in (("grid", geo.GridSpec.from_dict, grid),
+                                 ("histograms.h1", vec.HistogramSpec.from_dict,
+                                  m["histograms"]["h1"]),
+                                 ("histograms.h2", vec.HistogramSpec.from_dict,
+                                  m["histograms"]["h2"])):
         try:
-            vec.HistogramSpec.from_dict(m["histograms"][key])
+            from_dict(spec)
         except KeyError as exc:
-            raise DataError(f"{path}: missing key 'histograms.{key}.{exc.args[0]}'") from None
+            raise DataError(f"{path}: missing key '{key}.{exc.args[0]}'") from None
         except (TypeError, ValueError) as exc:
-            raise DataError(f"{path}: 'histograms.{key}': {exc}") from None
+            raise DataError(f"{path}: '{key}': {exc}") from None
     if not isinstance(m["items"], list):
         raise DataError(f"{path}: 'items' must be a list")
     if not m["items"]:
@@ -135,6 +162,17 @@ def load_manifest(path) -> dict:
                 raise DataError(f"{path}: item {k} is missing key {key!r}")
             if not isinstance(item[key], str):
                 raise DataError(f"{path}: 'items.{k}.{key}' must be a string")
+        for key in ("params", "target"):
+            if key not in item:
+                raise DataError(f"{path}: missing key 'items.{k}.{key}'")
+        _check(path, f"items.{k}.params", item["params"], lambda v: isinstance(v, dict),
+               "an object")
+        for name in geo.PARAM_NAMES:
+            _check(path, f"items.{k}.params.{name}", item["params"].get(name),
+                   lambda v: isinstance(v, str), "a string")
+        _check(path, f"items.{k}.target", item["target"], _is_finite, "a finite number")
+        _check(path, f"items.{k}.prediction", item.get("prediction"),
+               lambda v: v is None or _is_finite(v), "null or a finite number")
     ids = [item["id"] for item in m["items"]]
     if len(set(ids)) != len(ids):
         raise DataError("manifest item ids are not unique")
@@ -452,7 +490,9 @@ def _explain_params(m: dict, args, target_idx: int, out_dir: Path) -> None:
     table = [geo.ParamVector.from_dict(item["params"]) for item in m["items"]]
     att = explain_mod.param_attribution(table, y, target_idx)
     item_id = m["items"][target_idx]["id"]
-    _write_json(out_dir / f"params_{item_id}.json", att.to_record())
+    _write_json(out_dir / f"params_{item_id}.json",
+                {"baseline": att.baseline, "total": att.total, "values": att.values.tolist(),
+                 "feature_names": list(geo.PARAM_NAMES)})
 
 
 def _explain_grid(m: dict, args, target_idx: int, out_dir: Path) -> None:

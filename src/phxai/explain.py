@@ -60,18 +60,6 @@ class GridAttribution:
 
 
 @dataclass
-class ParamAttribution:
-    values: dict[str, float]
-    baseline: float
-    total: float
-
-    def to_record(self) -> dict:
-        return {"baseline": self.baseline, "total": self.total,
-                "values": [self.values[n] for n in PARAM_NAMES],
-                "feature_names": list(PARAM_NAMES)}
-
-
-@dataclass
 class HigherOrderMaps:
     """One flat pixel map per generator parameter, in `features` order.
 
@@ -117,11 +105,10 @@ def _param_cohort(params_table, target_row: int):
                              SimilaritySpec(kind="categorical"))
 
 
-def param_attribution(params_table, y, target_row: int) -> ParamAttribution:
-    """Exact Cohort Shapley over the four categorical generator parameters."""
-    att = cohort_shapley(_param_cohort(params_table, target_row), np.asarray(y, dtype=float))
-    return ParamAttribution(dict(zip(PARAM_NAMES, map(float, att.values))),
-                            att.baseline, att.total)
+def param_attribution(params_table, y, target_row: int) -> Attribution:
+    """Exact Cohort Shapley over the four categorical generator parameters;
+    values in `PARAM_NAMES` order."""
+    return cohort_shapley(_param_cohort(params_table, target_row), np.asarray(y, dtype=float))
 
 
 def grid_based_explanation(target_cloud: PointCloud, cohort_clouds, pipeline,

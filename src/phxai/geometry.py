@@ -15,7 +15,6 @@ from itertools import product
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 NONE_VALUE = "none"
 
@@ -330,8 +329,13 @@ def synthetic_target(cloud: PointCloud, probe_radius: float,
     score 0 by definition. Invariant under point reordering.
 
     Only centers inside the cloud's bounding box grown by 2*probe_radius can
-    count, so only those are queried (with one cell of slack against
-    rounding); the fraction is still taken over every center.
+    count, so only those are measured (with one cell of slack against
+    rounding); the fraction is still taken over every center. Each center
+    keeps a running minimum of squared distances over the points, so memory
+    stays O(centers). The squares are added x, then y, then z, the order a
+    KD-tree query adds them in: float addition is not associative, another
+    grouping moves some sums by an ulp, and that can carry a center lying
+    exactly on a shell edge across it.
     """
     if not 0 < probe_radius < math.inf:  # NaN too; inf would count no center
         raise ValueError("probe_radius must be positive and finite")
@@ -339,7 +343,11 @@ def synthetic_target(cloud: PointCloud, probe_radius: float,
         return 0.0
     near = _centers_in_box(spec, cloud.points.min(axis=0) - 2.0 * probe_radius,
                            cloud.points.max(axis=0) + 2.0 * probe_radius)
-    dist, _ = cKDTree(cloud.points).query(near)
+    cx, cy, cz = near.T
+    best = np.full(len(near), np.inf)
+    for x, y, z in cloud.points:
+        np.minimum(best, (cx - x) ** 2 + (cy - y) ** 2 + (cz - z) ** 2, out=best)
+    dist = np.sqrt(best)
     frac = np.count_nonzero((dist >= probe_radius) & (dist < 2.0 * probe_radius)) / spec.n_cells
     return 100.0 * frac
 

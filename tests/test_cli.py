@@ -186,6 +186,32 @@ BAD_INPUTS = {
         d / "manifest.json", lambda m: m["rips"].update(max_radius="x"))),
     "manifest_rips_max_radius_nan": ("ph", "max_radius must be positive", lambda d: _edit_json(
         d / "manifest.json", lambda m: m["rips"].update(max_radius=float("nan")))),
+    "manifest_rips_max_radius_inf": ("ph", "'rips.max_radius' is inf; max_radius must be positive",
+                                     lambda d: _edit_json(
+        d / "manifest.json", lambda m: m["rips"].update(max_radius=float("inf")))),
+    "manifest_no_grid": ("predict", "manifest.json: missing key 'grid'", lambda d: _edit_json(
+        d / "manifest.json", lambda m: m.pop("grid"))),
+    "manifest_grid_cell_size_not_number": (
+        "predict", "manifest.json: 'grid.cell_size' must be a finite number",
+        lambda d: _edit_json(d / "manifest.json", lambda m: m["grid"].update(cell_size="x"))),
+    "manifest_item_no_params": ("predict", "manifest.json: missing key 'items.1.params'",
+                                lambda d: _edit_json(
+        d / "manifest.json", lambda m: m["items"][1].pop("params"))),
+    "manifest_item_params_no_edge": ("predict",
+                                     "manifest.json: 'items.1.params.edge' must be a string",
+                                     lambda d: _edit_json(
+        d / "manifest.json", lambda m: m["items"][1]["params"].pop("edge"))),
+    "manifest_item_no_target": ("predict", "manifest.json: missing key 'items.1.target'",
+                                lambda d: _edit_json(
+        d / "manifest.json", lambda m: m["items"][1].pop("target"))),
+    "manifest_item_target_not_number": ("predict",
+                                        "manifest.json: 'items.1.target' must be a finite number",
+                                        lambda d: _edit_json(
+        d / "manifest.json", lambda m: m["items"][1].update(target="abc"))),
+    "manifest_item_prediction_not_number": ("predict", "manifest.json: 'items.1.prediction'"
+                                            " must be null or a finite number",
+                                            lambda d: _edit_json(
+        d / "manifest.json", lambda m: m["items"][1].update(prediction="abc"))),
     "manifest_histogram_no_bins": ("ph,vectorize",
                                    "manifest.json: missing key 'histograms.h1.bins_per_axis'",
                                    lambda d: _edit_json(
@@ -235,6 +261,16 @@ def test_bad_inputs_exit_2_with_message(dataset, tmp_path, case):
                           env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 2, proc.stderr
     assert message in proc.stderr
+
+
+def test_cli_import_leaves_scipy_out():
+    """The runtime needs numpy alone: importing the CLI loads no scipy."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c",
+                           "import phxai.cli, sys; sys.exit('scipy' in sys.modules)"],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_pipeline_run_log_records_stage_counts(dataset, tmp_path):

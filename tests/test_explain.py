@@ -65,13 +65,13 @@ def test_shared_edge_value_is_dummy(rng):
     table = [geo.ParamVector(rng.choice(geo.TEMPLATES), rng.choice(geo.NODES),
                              rng.choice(geo.NODES), "ring4_a") for _ in range(10)]
     att = ex.param_attribution(table, rng.normal(size=10), 0)
-    assert att.values["edge"] == 0.0
+    assert att.values[geo.PARAM_NAMES.index("edge")] == 0.0
 
 
 def test_identical_outputs_zero(rng):
     table = params_instance(rng, 8)
     att = ex.param_attribution(table, np.full(8, 2.0), 0)
-    assert all(v == 0.0 for v in att.values.values())
+    assert all(v == 0.0 for v in att.values)
 
 
 def test_param_attribution_matches_permutation_oracle(rng):
@@ -95,7 +95,7 @@ def test_param_attribution_matches_permutation_oracle(rng):
                 phi[j] += v - prev
                 prev = v
         phi /= len(perms)
-        got = np.array([att.values[n] for n in geo.PARAM_NAMES])
+        got = att.values
         assert np.abs(got - phi).max() < 1e-9
         assert abs(got.sum() - (att.total - att.baseline)) < 1e-9
 

@@ -159,14 +159,48 @@ def test_target_equals_dense_query(seed, n, probe_radius, spec):
     on_face = rng.random((n, 3)) < 0.3
     faces = origin + rng.integers(-2, spec.cells_per_axis + 3, size=(n, 3)) * spec.cell_size
     pts[on_face] = faces[on_face]
+    assert geo.synthetic_target(geo.PointCloud(pts), probe_radius, spec) == \
+        dense_target(pts, probe_radius, spec)
+
+
+@pytest.mark.parametrize("probe_radius", [2.0, 0.5])
+def test_target_equals_dense_query_on_generated_clouds(probe_radius):
+    """Lattice clouds have many tied distances from the cell centers."""
+    spec = geo.SyntheticSpec().grid
+    for params in geo.iter_param_vectors()[::24]:
+        cloud = geo.generate_structure(params)
+        assert geo.synthetic_target(cloud, probe_radius, spec) == \
+            dense_target(cloud.points, probe_radius, spec)
+
+
+def test_target_on_shell_edges_equals_dense_query():
+    """A probe radius equal to some center's nearest distance, or half of
+    one, puts that center exactly on a shell edge, where the order the
+    squares are added in decides whether it counts."""
+    rng = np.random.default_rng(7)
+    spec = geo.GridSpec((-6.0, -6.0, -6.0), 1.5, 10)
+    for _ in range(20):
+        pts = rng.uniform(-6.0, 9.0, size=(rng.integers(1, 30), 3))
+        for d in rng.choice(dense_distances(pts, spec), 5):
+            for probe_radius in (d, d / 2):
+                assert geo.synthetic_target(geo.PointCloud(pts), probe_radius, spec) == \
+                    dense_target(pts, probe_radius, spec)
+
+
+def dense_distances(pts, spec):
+    """Nearest-point distance of every cell center, from a KD-tree query."""
+    origin = np.array(spec.origin)
     c = spec.cells_per_axis
     ax = origin[:, None] + (np.arange(c) + 0.5) * spec.cell_size
     gx, gy, gz = np.meshgrid(ax[0], ax[1], ax[2], indexing="ij")
-    centers = np.column_stack([gx.ravel(), gy.ravel(), gz.ravel()])
-    dist, _ = cKDTree(pts).query(centers)
+    return cKDTree(pts).query(np.column_stack([gx.ravel(), gy.ravel(), gz.ravel()]))[0]
+
+
+def dense_target(pts, probe_radius, spec):
+    """The target from a KD-tree query at every cell center."""
+    dist = dense_distances(pts, spec)
     shell = np.count_nonzero((dist >= probe_radius) & (dist < 2.0 * probe_radius))
-    expected = 100.0 * (shell / len(centers))
-    assert geo.synthetic_target(geo.PointCloud(pts), probe_radius, spec) == expected
+    return 100.0 * (shell / len(dist))
 
 
 def test_target_permutation_invariant(rng):
