@@ -66,14 +66,36 @@ def _write_pixel_grids(stem: Path, flat: np.ndarray) -> None:
         _write_grid_csv(Path(f"{stem}_h{dim}.csv"), grid)
 
 
+def _parse_rows(path, numbered_lines, width: int, skip: int = 0) -> np.ndarray:
+    """The `(line number, line)` pairs of a CSV file as an array `width`
+    wide, the first `skip` cells of each line left out. A row of another
+    width, or a cell that is not a finite number, is a data error naming
+    the file and the line."""
+    def bad(lineno):
+        return DataError(f"{path}, line {lineno}: expected {width} finite numbers")
+    linenos, rows = [], []
+    for lineno, line in numbered_lines:
+        cells = line.split(",")[skip:]
+        try:
+            if len(cells) != width:
+                raise ValueError
+            rows.append([float(v) for v in cells])
+        except ValueError:
+            raise bad(lineno) from None
+        linenos.append(lineno)
+    values = np.array(rows, dtype=float).reshape(len(rows), width)
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        raise bad(linenos[int(np.argmin(finite))])
+    return values
+
+
 def read_grid_csv(path) -> np.ndarray:
-    rows = []
-    for line in Path(path).read_text().splitlines():
-        if line.strip():
-            rows.append([float(v) for v in line.split(",")])
-    if not rows or any(len(r) != len(rows[0]) for r in rows):
-        raise DataError(f"{path}: not a rectangular CSV grid")
-    return np.array(rows)
+    lines = [(lineno, line) for lineno, line in
+             enumerate(Path(path).read_text().splitlines(), start=1) if line.strip()]
+    if not lines:
+        raise DataError(f"{path}: empty grid")
+    return _parse_rows(path, lines, len(lines[0][1].split(",")))
 
 
 def _check_max_radius(max_radius: float, where: str = "") -> None:
@@ -104,9 +126,54 @@ def _is_finite(v) -> bool:
     return _is_number(v) and -math.inf < v < math.inf  # NaN fails both
 
 
-def _check(path: Path, key: str, value, ok, what: str) -> None:
-    if not ok(value):
-        raise DataError(f"{path}: '{key}' must be {what}, not {value!r}")
+def _by_steps(fields: dict) -> dict:
+    return {tuple(key.split(".")): check for key, check in fields.items()}
+
+
+_FINITE, _INT, _STR = ((_is_finite, "a finite number"), (_is_int, "an integer"),
+                       (lambda v: isinstance(v, str), "a string"))
+# Each manifest field by dotted key: a check of its JSON type and what the
+# check asks for. JSON has no NaN or Infinity, but Python's parser reads
+# both. Value rules (positive, >= 1) are the spec constructors' and
+# `_check_max_radius`'s, so manifest values and CLI flags meet the same rule.
+MANIFEST_FIELDS = _by_steps({
+    "rips.max_dim": _INT, "rips.max_radius": (_is_number, "a number"),
+    "grid.origin": (lambda v: isinstance(v, list) and len(v) == 3 and all(map(_is_finite, v)),
+                    "a list of three numbers"),
+    "grid.cell_size": _FINITE, "grid.cells_per_axis": _INT,
+    **{f"histograms.h{d}.{name}": check for d in (1, 2) for name, check in (
+        ("dimension", (lambda v, d=d: _is_int(v) and v == d, str(d))), ("birth_max", _FINITE),
+        ("persistence_max", _FINITE), ("bins_per_axis", _INT), ("blur_sigma", _FINITE))},
+    "items": (lambda v: isinstance(v, list), "a list"),
+})
+# The fields of each item, below `items.<k>`. A field whose check accepts
+# null may be left out.
+ITEM_FIELDS = _by_steps({
+    "id": _STR, "cloud": _STR, **{f"params.{name}": _STR for name in geo.PARAM_NAMES},
+    "target": _FINITE, "prediction": (lambda v: v is None or _is_finite(v),
+                                      "null or a finite number"),
+})
+
+
+def _check_fields(path: Path, obj: dict, fields: dict, where: tuple = ()) -> None:
+    """Walk each field's steps down from `obj`, whose own dotted key is
+    `where`, and check the value reached. No field repeats a step."""
+    for steps, (ok, what) in fields.items():
+        value = obj
+        try:
+            for step in steps:
+                value = value[step]
+        except TypeError:
+            at = ".".join(where + steps[:steps.index(step)])
+            raise DataError(f"{path}: '{at}' is not an object") from None
+        except KeyError:
+            if step != steps[-1] or not ok(None):
+                at = ".".join(where + steps[:steps.index(step) + 1])
+                raise DataError(f"{path}: missing key '{at}'") from None
+            value = None
+        if not ok(value):
+            raise DataError(f"{path}: '{'.'.join(where + steps)}' must be {what},"
+                            f" not {value!r}")
 
 
 def load_manifest(path) -> dict:
@@ -119,60 +186,20 @@ def load_manifest(path) -> dict:
     if m.get("format_version") != FORMAT_VERSION:
         raise DataError(f"{path}: format_version {m.get('format_version')!r},"
                         f" expected {FORMAT_VERSION!r}")
-    for key in ("items", "rips", "histograms", "grid"):
-        if key not in m:
-            raise DataError(f"{path}: missing key {key!r}")
-    for section, keys in (("rips", ("max_dim", "max_radius")), ("histograms", ("h1", "h2")),
-                          ("grid", ("origin", "cell_size", "cells_per_axis"))):
-        if not isinstance(m[section], dict):
-            raise DataError(f"{path}: {section!r} is not an object")
-        for key in keys:
-            if key not in m[section]:
-                raise DataError(f"{path}: missing key '{section}.{key}'")
+    _check_fields(path, m, MANIFEST_FIELDS)
     max_radius = m["rips"]["max_radius"]
-    _check(path, "rips.max_dim", m["rips"]["max_dim"], _is_int, "an integer")
-    _check(path, "rips.max_radius", max_radius, _is_number, "a number")
     _check_max_radius(max_radius, f"{path}: 'rips.max_radius' is {max_radius!r}; ")
-    grid = m["grid"]
-    _check(path, "grid.origin", grid["origin"],
-           lambda v: isinstance(v, list) and len(v) == 3 and all(map(_is_finite, v)),
-           "a list of three numbers")
-    _check(path, "grid.cell_size", grid["cell_size"], _is_finite, "a finite number")
-    _check(path, "grid.cells_per_axis", grid["cells_per_axis"], _is_int, "an integer")
-    for key, from_dict, spec in (("grid", geo.GridSpec.from_dict, grid),
-                                 ("histograms.h1", vec.HistogramSpec.from_dict,
-                                  m["histograms"]["h1"]),
-                                 ("histograms.h2", vec.HistogramSpec.from_dict,
-                                  m["histograms"]["h2"])):
+    for key, spec, fields in (("grid", geo.GridSpec, m["grid"]),
+                              ("histograms.h1", vec.HistogramSpec, m["histograms"]["h1"]),
+                              ("histograms.h2", vec.HistogramSpec, m["histograms"]["h2"])):
         try:
-            from_dict(spec)
-        except KeyError as exc:
-            raise DataError(f"{path}: missing key '{key}.{exc.args[0]}'") from None
-        except (TypeError, ValueError) as exc:
+            spec.from_dict(fields)
+        except ValueError as exc:
             raise DataError(f"{path}: '{key}': {exc}") from None
-    if not isinstance(m["items"], list):
-        raise DataError(f"{path}: 'items' must be a list")
     if not m["items"]:
         raise DataError(f"{path}: no items")
     for k, item in enumerate(m["items"]):
-        if not isinstance(item, dict):
-            raise DataError(f"{path}: 'items.{k}' must be an object, not {item!r}")
-        for key in ("id", "cloud"):
-            if key not in item:
-                raise DataError(f"{path}: item {k} is missing key {key!r}")
-            if not isinstance(item[key], str):
-                raise DataError(f"{path}: 'items.{k}.{key}' must be a string")
-        for key in ("params", "target"):
-            if key not in item:
-                raise DataError(f"{path}: missing key 'items.{k}.{key}'")
-        _check(path, f"items.{k}.params", item["params"], lambda v: isinstance(v, dict),
-               "an object")
-        for name in geo.PARAM_NAMES:
-            _check(path, f"items.{k}.params.{name}", item["params"].get(name),
-                   lambda v: isinstance(v, str), "a string")
-        _check(path, f"items.{k}.target", item["target"], _is_finite, "a finite number")
-        _check(path, f"items.{k}.prediction", item.get("prediction"),
-               lambda v: v is None or _is_finite(v), "null or a finite number")
+        _check_fields(path, item, ITEM_FIELDS, ("items", str(k)))
     ids = [item["id"] for item in m["items"]]
     if len(set(ids)) != len(ids):
         raise DataError("manifest item ids are not unique")
@@ -191,9 +218,7 @@ def _save_manifest(m: dict) -> None:
 
 
 def _manifest_specs(m: dict):
-    h1 = vec.HistogramSpec.from_dict(m["histograms"]["h1"])
-    h2 = vec.HistogramSpec.from_dict(m["histograms"]["h2"])
-    return h1, h2
+    return [vec.HistogramSpec.from_dict(m["histograms"][key]) for key in ("h1", "h2")]
 
 
 def _item_index(m: dict, item_id: str) -> int:
@@ -204,26 +229,19 @@ def _item_index(m: dict, item_id: str) -> int:
 
 
 def _load_cloud(m: dict, item: dict) -> geo.PointCloud:
-    return geo.load_xyz(m["_dir"] / item["cloud"])
+    path = m["_dir"] / item["cloud"]
+    try:
+        return geo.load_xyz(path)
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def _read_features(path: Path) -> tuple[list[str], np.ndarray]:
     lines = path.read_text().splitlines()
     if not lines:
         raise DataError(f"{path}: empty file")
-    width = len(lines[0].split(",")) - 1
-    ids, rows = [], []
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        try:
-            if len(parts) != width + 1:
-                raise ValueError
-            rows.append([float(v) for v in parts[1:]])
-        except ValueError:
-            raise DataError(f"{path}, line {lineno}: expected an id and"
-                            f" {width} numbers") from None
-        ids.append(parts[0])
-    return ids, np.array(rows, dtype=float).reshape(len(rows), width)
+    X = _parse_rows(path, enumerate(lines[1:], start=2), len(lines[0].split(",")) - 1, skip=1)
+    return [line.split(",", 1)[0] for line in lines[1:]], X
 
 
 def _load_features(m: dict) -> tuple[list[str], np.ndarray]:
@@ -424,9 +442,7 @@ def cmd_pipeline(args) -> int:
     _save_manifest(m)
     log = dict(_flags(args), stages=stages, max_radius=m["rips"]["max_radius"],
                histograms=m["histograms"])
-    for s in ("ph", "vectorize"):
-        if s in results:
-            log[s] = results[s]
+    log.update({s: results[s] for s in ("ph", "vectorize") if s in results})
     if results.get("train") is not None:
         log["holdout_r2"] = results["train"]
     _append_run_log(m["_dir"], log)
@@ -468,20 +484,15 @@ def _explain_pixels(m: dict, args, target_idx: int, out_dir: Path) -> None:
         matches = explain_mod.influential_cycles(att.values, ph.diagram(pairs, dim),
                                                  args.top_k, spec)
         for match in matches:
-            for pair in match.pairs:
-                cyc = ph.representative_cycle(filtration, pair)
-                cycles.append({"dim": pair.dimension, "birth": pair.birth,
-                               "death": pair.death,
-                               "attribution": match.value,
-                               "birth_bin": match.birth_bin,
-                               "persistence_bin": match.persistence_bin,
-                               "vertices": sorted(cyc.vertex_set)})
-            if not match.pairs:
-                cycles.append({"dim": dim, "birth": None, "death": None,
-                               "attribution": match.value,
-                               "birth_bin": match.birth_bin,
-                               "persistence_bin": match.persistence_bin,
-                               "vertices": []})
+            for pair in match.pairs or [None]:  # None: a bin that only the blur filled
+                record = {"dim": dim, "birth": None, "death": None, "vertices": [],
+                          "attribution": match.value, "birth_bin": match.birth_bin,
+                          "persistence_bin": match.persistence_bin}
+                if pair is not None:
+                    cycle = ph.representative_cycle(filtration, pair)
+                    record.update(birth=pair.birth, death=pair.death,
+                                  vertices=sorted(cycle.vertex_set))
+                cycles.append(record)
     _write_json(out_dir / f"cycles_{item_id}.json", cycles)
 
 
@@ -602,52 +613,45 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--count", type=int, required=True)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", required=True)
-    g.add_argument("--probe-radius", type=float, default=DEFAULT_PROBE_RADIUS,
-                   dest="probe_radius")
-    g.add_argument("--max-radius", type=float, default=DEFAULT_MAX_RADIUS,
-                   dest="max_radius")
+    g.add_argument("--probe-radius", type=float, default=DEFAULT_PROBE_RADIUS)
+    g.add_argument("--max-radius", type=float, default=DEFAULT_MAX_RADIUS)
     g.set_defaults(func=cmd_gen_data)
 
     q = sub.add_parser("pipeline", help="run pipeline stages over a manifest")
     q.add_argument("manifest")
     q.add_argument("--stages", default="ph,vectorize,train,predict")
-    q.add_argument("--max-radius", type=float, default=None, dest="max_radius")
-    q.add_argument("--bins", type=int, default=None)
-    q.add_argument("--sigma", type=float, default=None)
-    q.add_argument("--h1-birth-max", type=float, default=None, dest="h1_birth_max")
-    q.add_argument("--h1-pers-max", type=float, default=None, dest="h1_pers_max")
-    q.add_argument("--h2-birth-max", type=float, default=None, dest="h2_birth_max")
-    q.add_argument("--h2-pers-max", type=float, default=None, dest="h2_pers_max")
+    q.add_argument("--max-radius", type=float)
+    q.add_argument("--bins", type=int)
+    q.add_argument("--sigma", type=float)
+    q.add_argument("--h1-birth-max", type=float)
+    q.add_argument("--h1-pers-max", type=float)
+    q.add_argument("--h2-birth-max", type=float)
+    q.add_argument("--h2-pers-max", type=float)
     q.add_argument("--trees", type=int, default=train.n_trees)
-    q.add_argument("--max-features", type=float, default=train.max_features_fraction,
-                   dest="max_features")
-    q.add_argument("--min-leaf", type=int, default=train.min_samples_leaf, dest="min_leaf")
+    q.add_argument("--max-features", type=float, default=train.max_features_fraction)
+    q.add_argument("--min-leaf", type=int, default=train.min_samples_leaf)
     q.add_argument("--holdout", type=int, default=0)
     q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--importance", choices=("none", "impurity", "permutation"),
-                   default="none")
+    q.add_argument("--importance", choices=("none", "impurity", "permutation"), default="none")
     q.set_defaults(func=cmd_pipeline)
 
     e = sub.add_parser("explain", help="write attribution artifacts")
     e.add_argument("manifest")
-    e.add_argument("--mode", choices=("pixels", "params", "grid", "higher"),
-                   required=True)
+    e.add_argument("--mode", choices=("pixels", "params", "grid", "higher"), required=True)
     e.add_argument("--target", required=True)
     e.add_argument("--steps", type=int, default=DEFAULT_STEPS)
     e.add_argument("--ratio", type=float, default=DEFAULT_RATIO)
-    e.add_argument("--perturb-length", type=float, default=1.0, dest="perturb_length")
-    e.add_argument("--cohort-size", type=int, default=100, dest="cohort_size")
-    e.add_argument("--cohort-seed", type=int, default=0, dest="cohort_seed")
-    e.add_argument("--pixel-quantile", type=float, default=explain_mod.DEFAULT_QUANTILE,
-                   dest="pixel_quantile")
-    e.add_argument("--top-k", type=int, default=5, dest="top_k")
+    e.add_argument("--perturb-length", type=float, default=1.0)
+    e.add_argument("--cohort-size", type=int, default=100)
+    e.add_argument("--cohort-seed", type=int, default=0)
+    e.add_argument("--pixel-quantile", type=float, default=explain_mod.DEFAULT_QUANTILE)
+    e.add_argument("--top-k", type=int, default=5)
     e.set_defaults(func=cmd_explain)
 
     r = sub.add_parser("render", help="render a grid CSV to PGM/PPM")
     r.add_argument("input")
     r.add_argument("output")
-    r.add_argument("--palette", choices=("diverging", "sequential"),
-                   default="diverging")
+    r.add_argument("--palette", choices=("diverging", "sequential"), default="diverging")
     r.add_argument("--color", action="store_true")
     r.set_defaults(func=cmd_render)
     return p

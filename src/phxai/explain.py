@@ -167,6 +167,8 @@ def higher_order(params_table, dataset_features, predictions, target_row: int,
     categorical parameters splits the column of per-row attributions.
     Pixels outside the subset are left at zero and flagged as not computed.
     """
+    if not 0 <= quantile <= 1:  # NaN too
+        raise ValueError("quantile must be in [0, 1]")
     X = np.asarray(dataset_features, dtype=float)
     y = np.asarray(predictions, dtype=float)
     n, d = X.shape

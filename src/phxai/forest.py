@@ -74,14 +74,22 @@ class Tree:
         return self.value[node]
 
 
+# Tree's node arrays, in field order, with their dtypes
+_TREE_ARRAYS = {"feature": np.int64, "threshold": float, "left": np.int64, "right": np.int64,
+                "value": float, "n_samples": np.int64, "decrease": float}
+
+
+def _tree(arrays) -> Tree:
+    return Tree(*(np.array(a, dtype=dtype) for a, dtype in zip(arrays, _TREE_ARRAYS.values())))
+
+
 def _check_tree(k: int, tree: Tree, feature_count: int) -> None:
     """Reject node arrays that a tree walk could loop on or index past:
     internal nodes must point strictly forward (the grower always appends
     children after their parent), leaves must have no children, and split
     features must lie in [0, feature_count)."""
     n = len(tree.feature)
-    arrays = (tree.feature, tree.threshold, tree.left, tree.right, tree.value,
-              tree.n_samples, tree.decrease)
+    arrays = [getattr(tree, name) for name in _TREE_ARRAYS]
     if n == 0 or any(a.ndim != 1 or len(a) != n for a in arrays):
         raise ValueError(f"tree {k}: node arrays must be non-empty and of equal length")
     internal = tree.feature >= 0
@@ -106,26 +114,15 @@ class Forest:
             "format": MODEL_FORMAT,
             "config": self.config.to_dict(),
             "feature_count": self.feature_count,
-            "trees": [{
-                "feature": t.feature.tolist(), "threshold": t.threshold.tolist(),
-                "left": t.left.tolist(), "right": t.right.tolist(),
-                "value": t.value.tolist(), "n_samples": t.n_samples.tolist(),
-                "decrease": t.decrease.tolist(),
-            } for t in self.trees],
+            "trees": [{name: getattr(t, name).tolist() for name in _TREE_ARRAYS}
+                      for t in self.trees],
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "Forest":
         if d.get("format") != MODEL_FORMAT:
             raise ValueError(f"unsupported model format {d.get('format')!r}")
-        trees = [Tree(np.array(t["feature"], dtype=np.int64),
-                      np.array(t["threshold"], dtype=float),
-                      np.array(t["left"], dtype=np.int64),
-                      np.array(t["right"], dtype=np.int64),
-                      np.array(t["value"], dtype=float),
-                      np.array(t["n_samples"], dtype=np.int64),
-                      np.array(t["decrease"], dtype=float))
-                 for t in d["trees"]]
+        trees = [_tree(t[name] for name in _TREE_ARRAYS) for t in d["trees"]]
         feature_count = int(d["feature_count"])
         if not trees:
             raise ValueError("model has no trees")
@@ -215,10 +212,7 @@ def _grow_tree(X: np.ndarray, y: np.ndarray, sample_idx: np.ndarray,
         left[slot], right[slot] = l_slot, r_slot
         stack.append((idx[~go_left], r_slot))
         stack.append((idx[go_left], l_slot))
-    return Tree(np.array(feature, dtype=np.int64), np.array(threshold, dtype=float),
-                np.array(left, dtype=np.int64), np.array(right, dtype=np.int64),
-                np.array(value, dtype=float), np.array(n_samples, dtype=np.int64),
-                np.array(decrease, dtype=float))
+    return _tree((feature, threshold, left, right, value, n_samples, decrease))
 
 
 def train(X, y, config: TrainConfig = TrainConfig()) -> Forest:

@@ -140,6 +140,8 @@ class ParamVector:
 
 
 PARAM_NAMES = ("template", "node1", "node2", "edge")
+# the values each parameter may take, in PARAM_NAMES order
+_VOCABULARY = (TEMPLATES, NODES, (NONE_VALUE,) + NODES, (NONE_VALUE,) + EDGES)
 
 
 @dataclass(frozen=True)
@@ -273,14 +275,9 @@ def generate_structure(params: ParamVector, spec: SyntheticSpec = SyntheticSpec(
     adjacencies. Point order is anchors, node1 points, node2 points, linker
     points, so clouds differing only in `edge` share an identical prefix.
     """
-    if params.template not in TEMPLATES:
-        raise ValueError(f"unknown template {params.template!r}")
-    if params.node1 not in NODES:
-        raise ValueError(f"unknown node1 {params.node1!r}")
-    if params.node2 != NONE_VALUE and params.node2 not in NODES:
-        raise ValueError(f"unknown node2 {params.node2!r}")
-    if params.edge != NONE_VALUE and params.edge not in EDGES:
-        raise ValueError(f"unknown edge {params.edge!r}")
+    for name, value, vocab in zip(PARAM_NAMES, params.as_tuple(), _VOCABULARY):
+        if value not in vocab:
+            raise ValueError(f"unknown {name} {value!r}")
 
     anchors, adjacency = _template_motif(params.template, ANCHOR_SPACING)
     center = np.array([spec.grid.origin[a] + spec.grid.side / 2.0 for a in range(3)])
@@ -310,10 +307,7 @@ def generate_structure(params: ParamVector, spec: SyntheticSpec = SyntheticSpec(
 
 def iter_param_vectors() -> list[ParamVector]:
     """All distinct parameter vectors, in deterministic vocabulary order."""
-    out = []
-    for t, n1, n2, e in product(TEMPLATES, NODES, (NONE_VALUE,) + NODES, (NONE_VALUE,) + EDGES):
-        out.append(ParamVector(t, n1, n2, e))
-    return out
+    return [ParamVector(*v) for v in product(*_VOCABULARY)]
 
 
 # ---------------------------------------------------------------------------

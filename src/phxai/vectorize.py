@@ -35,12 +35,14 @@ class HistogramSpec:
 
     def __post_init__(self):
         for name in ("birth_max", "persistence_max"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:  # NaN too
+                raise ValueError(f"{name} must be positive and finite")
         if self.bins_per_axis < 1:
             raise ValueError("bins_per_axis must be >= 1")
-        if not self.blur_sigma >= 0:
-            raise ValueError("blur_sigma must be >= 0")
+        sigma_bins = self.blur_sigma * self.bins_per_axis / min(self.birth_max,
+                                                               self.persistence_max)
+        if not (self.blur_sigma >= 0 and sigma_bins < math.inf):
+            raise ValueError("blur_sigma must be >= 0 and finite, in length and in bin units")
 
     def to_dict(self) -> dict:
         return {"dimension": self.dimension, "birth_max": self.birth_max,
@@ -111,8 +113,10 @@ def histogram(diag, spec: HistogramSpec) -> LandscapeImage:
     return LandscapeImage(values, spec, dropped)
 
 
-def _axis_kernel(sigma_bins: float) -> np.ndarray:
-    radius = int(3.0 * sigma_bins)
+def _axis_kernel(sigma_bins: float, n: int) -> np.ndarray:
+    """Gaussian taps out to 3 sigma, but no further than the n - 1 bins
+    that a tap can reach on an axis of n bins."""
+    radius = int(min(3.0 * sigma_bins, n - 1))
     offsets = np.arange(-radius, radius + 1)
     w = np.exp(-0.5 * (offsets / sigma_bins) ** 2)
     return w / w.sum()
@@ -121,15 +125,14 @@ def _axis_kernel(sigma_bins: float) -> np.ndarray:
 def _blur_axis(arr: np.ndarray, sigma_bins: float) -> np.ndarray:
     """1-D Gaussian along axis 0, kernel cut at 3 sigma and renormalized to
     the in-bounds taps at each position (constants pass through unchanged)."""
-    w = _axis_kernel(sigma_bins)
+    n = arr.shape[0]
+    w = _axis_kernel(sigma_bins, n)
     radius = (len(w) - 1) // 2
     if radius == 0:
         return arr.copy()
-    n = arr.shape[0]
     out = np.zeros_like(arr)
     norm = np.zeros(n)
-    reach = min(radius, n - 1)  # a tap |k| >= n has no in-bounds source cell
-    for k in range(-reach, reach + 1):
+    for k in range(-radius, radius + 1):
         lo, hi = max(0, -k), min(n, n - k)
         out[lo:hi] += w[k + radius] * arr[lo + k:hi + k]
         norm[lo:hi] += w[k + radius]

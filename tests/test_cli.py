@@ -198,7 +198,7 @@ BAD_INPUTS = {
                                 lambda d: _edit_json(
         d / "manifest.json", lambda m: m["items"][1].pop("params"))),
     "manifest_item_params_no_edge": ("predict",
-                                     "manifest.json: 'items.1.params.edge' must be a string",
+                                     "manifest.json: missing key 'items.1.params.edge'",
                                      lambda d: _edit_json(
         d / "manifest.json", lambda m: m["items"][1]["params"].pop("edge"))),
     "manifest_item_no_target": ("predict", "manifest.json: missing key 'items.1.target'",
@@ -216,7 +216,7 @@ BAD_INPUTS = {
                                    "manifest.json: missing key 'histograms.h1.bins_per_axis'",
                                    lambda d: _edit_json(
         d / "manifest.json", lambda m: m["histograms"]["h1"].pop("bins_per_axis"))),
-    "manifest_item_not_object": ("ph,vectorize", "manifest.json: 'items.0' must be an object",
+    "manifest_item_not_object": ("ph,vectorize", "manifest.json: 'items.0' is not an object",
                                  lambda d: _edit_json(
         d / "manifest.json", lambda m: m.update(items=[1]))),
     "manifest_items_not_list": ("ph,vectorize", "manifest.json: 'items' must be a list",
@@ -229,10 +229,51 @@ BAD_INPUTS = {
                                        "manifest.json: 'items.1.cloud' must be a string",
                                        lambda d: _edit_json(
         d / "manifest.json", lambda m: m["items"][1].update(cloud=5))),
-    "manifest_item_no_id": ("predict", "item 1 is missing key 'id'", lambda d: _edit_json(
+    "manifest_item_no_id": ("predict", "manifest.json: missing key 'items.1.id'", lambda d: _edit_json(
         d / "manifest.json", lambda m: m["items"][1].pop("id"))),
-    "manifest_item_no_cloud": ("predict", "item 1 is missing key 'cloud'", lambda d: _edit_json(
+    "manifest_item_no_cloud": ("predict", "manifest.json: missing key 'items.1.cloud'", lambda d: _edit_json(
         d / "manifest.json", lambda m: m["items"][1].pop("cloud"))),
+    "manifest_histogram_birth_max_not_number": (
+        "ph,vectorize", "manifest.json: 'histograms.h1.birth_max' must be a finite number",
+        lambda d: _edit_json(d / "manifest.json",
+                             lambda m: m["histograms"]["h1"].update(birth_max="x"))),
+    "manifest_histogram_bins_float": (
+        "ph,vectorize", "manifest.json: 'histograms.h1.bins_per_axis' must be an integer",
+        lambda d: _edit_json(d / "manifest.json",
+                             lambda m: m["histograms"]["h1"].update(bins_per_axis=54.7))),
+    "manifest_histogram_bins_string": (
+        "ph,vectorize", "manifest.json: 'histograms.h1.bins_per_axis' must be an integer",
+        lambda d: _edit_json(d / "manifest.json",
+                             lambda m: m["histograms"]["h1"].update(bins_per_axis="54"))),
+    "manifest_histogram_persistence_max_bool": (
+        "ph,vectorize", "manifest.json: 'histograms.h2.persistence_max' must be a finite number",
+        lambda d: _edit_json(d / "manifest.json",
+                             lambda m: m["histograms"]["h2"].update(persistence_max=True))),
+    "manifest_histogram_blur_sigma_inf": (
+        "ph,vectorize", "manifest.json: 'histograms.h1.blur_sigma' must be a finite number",
+        lambda d: _edit_json(d / "manifest.json",
+                             lambda m: m["histograms"]["h1"].update(blur_sigma=float("inf")))),
+    "manifest_histogram_dimension_swapped": (
+        "ph,vectorize", "manifest.json: 'histograms.h1.dimension' must be 1, not 2",
+        lambda d: _edit_json(d / "manifest.json",
+                             lambda m: m["histograms"]["h1"].update(dimension=2))),
+    "manifest_histogram_birth_max_negative": (
+        "ph,vectorize", "manifest.json: 'histograms.h1': birth_max must be positive",
+        lambda d: _edit_json(d / "manifest.json",
+                             lambda m: m["histograms"]["h1"].update(birth_max=-1.0))),
+    "manifest_item_params_not_object": ("predict", "manifest.json: 'items.1.params' is not an object",
+                                        lambda d: _edit_json(
+        d / "manifest.json", lambda m: m["items"][1].update(params="cube"))),
+    "features_nan_predict": ("predict", "features.csv, line 3", lambda d: _edit_csv_line(
+        d / "features.csv", 3, lambda line: line.rsplit(",", 1)[0] + ",nan")),
+    "features_inf_train": ("train", "features.csv, line 4", lambda d: _edit_csv_line(
+        d / "features.csv", 4, lambda line: line.rsplit(",", 1)[0] + ",inf")),
+    "cloud_non_numeric": ("ph", "item_0003.xyz: line 4: non-numeric coordinate",
+                          lambda d: _edit_csv_line(
+        d / "clouds" / "item_0003.xyz", 4, lambda line: line.rsplit(" ", 1)[0] + " x")),
+    "cloud_nan": ("ph", "item_0003.xyz: point coordinates must be finite",
+                  lambda d: _edit_csv_line(
+        d / "clouds" / "item_0003.xyz", 4, lambda line: line.rsplit(" ", 1)[0] + " nan")),
     "model_child_loops_to_root": ("predict", "does not lie after it", lambda d: _edit_json(
         d / "model.json", _set_first_tree("left", 0, 0))),
     "model_child_out_of_range": ("predict", "does not lie after it", lambda d: _edit_json(
@@ -315,6 +356,38 @@ def test_pipeline_blur_wider_than_axis(dataset, tmp_path):
                "--h2-pers-max", 0.2) == 0
 
 
+def _set_dotted(obj, key, value):
+    *parents, last = key.split(".")
+    for step in parents:
+        obj = obj[int(step)] if isinstance(obj, list) else obj[step]
+    if value is None:
+        del obj[last]
+    else:
+        obj[last] = value
+
+
+_TABLE_KEYS = ([".".join(steps) for steps in cli.MANIFEST_FIELDS]
+               + [".".join(("items", "1") + steps) for steps in cli.ITEM_FIELDS])
+
+
+@pytest.mark.parametrize("key", _TABLE_KEYS)
+def test_manifest_field_table_names_the_dotted_key(dataset, tmp_path, key):
+    """Every field of the table, left out or given a value of no JSON type
+    it allows, is a data error naming its dotted key; only `prediction` may
+    be left out."""
+    manifest = json.loads((dataset / "manifest.json").read_text())
+    (tmp_path / "clouds").symlink_to(dataset / "clouds")
+    for value, message in ((None, f"missing key '{key}'"), ({}, f"'{key}' must be ")):
+        _set_dotted(manifest, key, value)
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        if key == "items.1.prediction" and value is None:
+            assert "prediction" not in cli.load_manifest(tmp_path / "manifest.json")["items"][1]
+            continue
+        with pytest.raises(cli.DataError) as err:
+            cli.load_manifest(tmp_path / "manifest.json")
+        assert f"manifest.json: {message}" in str(err.value)
+
+
 NAN_FLAGS = {
     "probe_radius": (["gen-data", "--count", 2, "--seed", 2, "--out", "{d}/g",
                       "--probe-radius", "nan"], "probe_radius must be positive"),
@@ -332,6 +405,18 @@ NAN_FLAGS = {
                      "--h1-pers-max", "nan"], "persistence_max must be positive"),
     "sigma": (["pipeline", "{d}/manifest.json", "--stages", "vectorize",
                "--sigma", "nan"], "blur_sigma must be >= 0"),
+    "sigma_inf": (["pipeline", "{d}/manifest.json", "--stages", "vectorize",
+                   "--sigma", "inf"], "blur_sigma must be >= 0"),
+    "sigma_overflows_in_bins": (["pipeline", "{d}/manifest.json", "--stages", "vectorize",
+                                 "--sigma", "1e308"], "blur_sigma must be >= 0"),
+    "h1_birth_max_inf": (["pipeline", "{d}/manifest.json", "--stages", "vectorize",
+                          "--h1-birth-max", "inf"], "birth_max must be positive"),
+    "pixel_quantile": (["explain", "{d}/manifest.json", "--mode", "higher",
+                        "--target", "item_0000", "--pixel-quantile", 2],
+                       "quantile must be in [0, 1]"),
+    "pixel_quantile_nan": (["explain", "{d}/manifest.json", "--mode", "higher",
+                            "--target", "item_0000", "--pixel-quantile", "nan"],
+                           "quantile must be in [0, 1]"),
     "ratio": (["explain", "{d}/manifest.json", "--mode", "pixels", "--target", "item_0000",
                "--ratio", "nan"], "ratio must be in (0, 1]"),
     "perturb_length": (["explain", "{d}/manifest.json", "--mode", "grid",
@@ -567,6 +652,15 @@ def test_render_bad_input(tmp_path):
     src = tmp_path / "bad.csv"
     src.write_text("1,2\n3\n")
     assert run("render", src, tmp_path / "x.pgm") == 2
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "x"])
+def test_render_bad_cell_names_file_and_line(tmp_path, capsys, cell):
+    src = tmp_path / "bad.csv"
+    src.write_text(f"1.0,2.0\n\n3.0,{cell}\n")
+    assert run("render", src, tmp_path / "x.pgm") == 2
+    assert f"bad.csv, line 3: expected 2 finite numbers" in capsys.readouterr().err
+    assert not (tmp_path / "x.pgm").exists()
 
 
 def test_usage_error_exit_code():

@@ -229,6 +229,14 @@ def test_quantile_bounds_computed_pixels(rng):
     assert maps.computed.sum() <= 0.05 * maps.computed.size + 1
 
 
+@pytest.mark.parametrize("quantile", [-0.1, 1.5, float("nan")])
+def test_quantile_outside_unit_interval_rejected(rng, quantile):
+    table = geo.iter_param_vectors()[:4]
+    with pytest.raises(ValueError, match=r"quantile must be in \[0, 1\]"):
+        ex.higher_order(table, small_features(rng, 4), rng.normal(size=4), 0,
+                        quantile=quantile)
+
+
 # ---------------------------------------------------------------------------
 # influential_cycles
 

@@ -99,6 +99,28 @@ def test_blur_kernel_reaches_past_axis(persistence_max):
     assert np.isfinite(out).all() and (out >= 0).all() and out.sum() > 0
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"birth_max": float("inf")}, "birth_max must be positive and finite"),
+    ({"persistence_max": 0.0}, "persistence_max must be positive and finite"),
+    ({"blur_sigma": -0.1}, "blur_sigma must be >= 0"),
+    ({"blur_sigma": float("inf")}, "blur_sigma must be >= 0"),
+    # finite in length units, but 1e308 * 54 / 3.5 overflows in bin units
+    ({"blur_sigma": 1e308}, "blur_sigma must be >= 0"),
+])
+def test_histogram_spec_value_rules(fields, message):
+    args = dict(dimension=2, birth_max=27.0, persistence_max=3.5, blur_sigma=0.15)
+    with pytest.raises(ValueError, match=message):
+        vec.HistogramSpec(**dict(args, **fields))
+
+
+def test_blur_kernel_far_wider_than_axis():
+    """A 3-sigma radius of about 4.6e21 bins builds only the 53 taps each
+    side that a 54-bin axis can use, and blurs a constant image to itself."""
+    spec = vec.HistogramSpec(2, 27.0, 3.5, blur_sigma=1e20)
+    flat = vec.gaussian_blur(vec.LandscapeImage(np.full((54, 54), 3.25), spec))
+    assert np.allclose(flat.values, 3.25, atol=1e-12)
+
+
 def test_blur_preserves_dropped_tally():
     img = vec.histogram(make_diagram(1, [(1.0, 2.0), (1.0, 30.0)]), vec.default_spec(1))
     assert vec.gaussian_blur(img).dropped == 1
