@@ -79,7 +79,7 @@ def _parse_rows(path, numbered_lines, width: int, skip: int = 0) -> np.ndarray:
         try:
             if len(cells) != width:
                 raise ValueError
-            rows.append([float(v) for v in cells])
+            rows.append(np.array(cells, dtype=float))
         except ValueError:
             raise bad(lineno) from None
         linenos.append(lineno)
@@ -325,8 +325,10 @@ def _filtration(m: dict, cloud: geo.PointCloud) -> ph.Filtration:
                          m["rips"]["max_radius"])
 
 
+# Each stage returns the entries it adds to the pipeline's run-log record.
+
 def _stage_ph(m: dict, args) -> dict:
-    """Write each item's diagram; return points, simplices per dimension and
+    """Write each item's diagram; log points, simplices per dimension and
     pairs per dimension, summed over the items."""
     if args.max_radius is not None:
         _check_max_radius(args.max_radius)
@@ -343,7 +345,7 @@ def _stage_ph(m: dict, args) -> dict:
             simplices[d] += filtration.count(d)
         for p in pairs:
             pair_counts[f"h{p.dimension}"] += 1
-    return {"points": simplices[0], "simplices": simplices, "pairs": pair_counts}
+    return {"ph": {"points": simplices[0], "simplices": simplices, "pairs": pair_counts}}
 
 
 def _pairs_from_records(records) -> list[ph.PersistencePair]:
@@ -351,7 +353,7 @@ def _pairs_from_records(records) -> list[ph.PersistencePair]:
 
 
 def _stage_vectorize(m: dict, args) -> dict:
-    """Write landscapes and features.csv; return the pairs each histogram
+    """Write landscapes and features.csv; log the pairs each histogram
     dropped beyond its window, summed over the items."""
     h1s, h2s = _manifest_specs(m)
     overrides = (args.bins, args.sigma, args.h1_birth_max, args.h1_pers_max,
@@ -359,12 +361,14 @@ def _stage_vectorize(m: dict, args) -> dict:
     if any(v is not None for v in overrides):
         def pick(flag, default):
             return flag if flag is not None else default
-        bins = pick(args.bins, h1s.bins_per_axis)
-        sigma = pick(args.sigma, h1s.blur_sigma)
-        h1s = vec.HistogramSpec(1, pick(args.h1_birth_max, h1s.birth_max),
-                                pick(args.h1_pers_max, h1s.persistence_max), bins, sigma)
-        h2s = vec.HistogramSpec(2, pick(args.h2_birth_max, h2s.birth_max),
-                                pick(args.h2_pers_max, h2s.persistence_max), bins, sigma)
+
+        def override(spec, birth_max, pers_max):  # a field without a flag keeps its value
+            return vec.HistogramSpec(spec.dimension, pick(birth_max, spec.birth_max),
+                                     pick(pers_max, spec.persistence_max),
+                                     pick(args.bins, spec.bins_per_axis),
+                                     pick(args.sigma, spec.blur_sigma))
+        h1s = override(h1s, args.h1_birth_max, args.h1_pers_max)
+        h2s = override(h2s, args.h2_birth_max, args.h2_pers_max)
         m["histograms"] = {"h1": h1s.to_dict(), "h2": h2s.to_dict()}
     land_dir = m["_dir"] / "landscapes"
     land_dir.mkdir(exist_ok=True)
@@ -388,10 +392,12 @@ def _stage_vectorize(m: dict, args) -> dict:
     _atomic_write_bytes(m["_dir"] / "features.csv", ("\n".join(lines) + "\n").encode())
     m["_features"] = ([item_id for item_id, _ in feature_rows],
                       np.array([row for _, row in feature_rows]))
-    return {"dropped": dropped}
+    return {"vectorize": {"dropped": dropped}}
 
 
-def _stage_train(m: dict, args) -> float | None:
+def _stage_train(m: dict, args) -> dict:
+    """Write model.json; log the node count of each tree, the model's size
+    and the holdout R^2 if there is a holdout."""
     ids, X = _load_features(m)
     y = np.array([item["target"] for item in m["items"]], dtype=float)
     if ids != [item["id"] for item in m["items"]]:
@@ -405,7 +411,10 @@ def _stage_train(m: dict, args) -> float | None:
                                     min_samples_leaf=args.min_leaf,
                                     seed=args.seed)
     model = forest_mod.train(X[:n_train], y[:n_train], config)
-    _write_json(m["_dir"] / "model.json", model.to_dict())
+    model_path = m["_dir"] / "model.json"
+    _write_json(model_path, model.to_dict())
+    log = {"train": {"nodes": [len(t.feature) for t in model.trees],
+                     "model_bytes": model_path.stat().st_size}}
     for item in m["items"]:  # they came from the model just replaced
         item["prediction"] = None
     if args.importance != "none":
@@ -418,16 +427,17 @@ def _stage_train(m: dict, args) -> float | None:
     if holdout:
         score = forest_mod.r2(forest_mod.predict_batch(model, X[n_train:]), y[n_train:])
         print(f"holdout R^2 over {holdout} items: {score:.4f}")
-        return score
-    return None
+        log["holdout_r2"] = score
+    return log
 
 
-def _stage_predict(m: dict, args) -> None:
+def _stage_predict(m: dict, args) -> dict:
     ids, X = _load_features(m)
     model = _load_model(m)
     preds = forest_mod.predict_batch(model, X)
     for item, p in zip(m["items"], preds):
         item["prediction"] = float(p)
+    return {}
 
 
 def cmd_pipeline(args) -> int:
@@ -438,14 +448,13 @@ def cmd_pipeline(args) -> int:
     for s in stages:
         if s not in known:
             raise DataError(f"unknown stage {s!r}; choose from ph,vectorize,train,predict")
-    results = {s: known[s](m, args) for s in stages}
+    entries = {}
+    for s in stages:
+        entries.update(known[s](m, args))
     _save_manifest(m)
-    log = dict(_flags(args), stages=stages, max_radius=m["rips"]["max_radius"],
-               histograms=m["histograms"])
-    log.update({s: results[s] for s in ("ph", "vectorize") if s in results})
-    if results.get("train") is not None:
-        log["holdout_r2"] = results["train"]
-    _append_run_log(m["_dir"], log)
+    _append_run_log(m["_dir"], dict(_flags(args), stages=stages,
+                                    max_radius=m["rips"]["max_radius"],
+                                    histograms=m["histograms"], **entries))
     return 0
 
 

@@ -4,8 +4,10 @@ Trees are grown CART-style on bootstrap samples with the squared-error
 criterion; split points are midpoints between consecutive distinct sorted
 feature values, with impurity ties broken by lowest feature index and then
 lowest threshold so training is a pure function of (X, y, config). Trees
-are stored as flat arrays, which keeps prediction vectorizable and the
-model file a plain JSON document.
+are grown on the columns that vary over the training rows, the only ones
+that can split, and their split features index the full feature layout.
+Trees are stored as flat arrays, which keeps prediction vectorizable and
+the model file a plain JSON document.
 """
 
 from __future__ import annotations
@@ -166,11 +168,17 @@ def _best_split(Xn: np.ndarray, yn: np.ndarray, cols: np.ndarray, min_leaf: int)
     return int(cols[f]), float(threshold), sse_parent - sse_children
 
 
-def _grow_tree(X: np.ndarray, y: np.ndarray, sample_idx: np.ndarray,
-               config: TrainConfig, rng: np.random.Generator) -> Tree:
-    d = X.shape[1]
+def _grow_tree(Xv: np.ndarray, y: np.ndarray, sample_idx: np.ndarray, cols: np.ndarray,
+               d: int, config: TrainConfig, rng: np.random.Generator) -> Tree:
+    """Grow one tree on `Xv`, the columns `cols` (ascending) of a table `d`
+    wide that vary over the training rows; split features index the full
+    table. With `max_features_fraction < 1` each node draws from all `d`
+    columns and keeps the drawn ones in `cols`: a constant column never
+    splits, so the tree and the random stream are those of the full table."""
     n_total = len(sample_idx)
     n_sub = max(1, int(np.ceil(config.max_features_fraction * d)))
+    position = np.full(d, -1)  # full column index -> column of Xv
+    position[cols] = np.arange(len(cols))
     feature, threshold, left, right, value, n_samples, decrease = [], [], [], [], [], [], []
 
     def new_node():
@@ -191,18 +199,19 @@ def _grow_tree(X: np.ndarray, y: np.ndarray, sample_idx: np.ndarray,
         if len(idx) < max(2, 2 * config.min_samples_leaf) or yn.min() == yn.max():
             continue
         if config.max_features_fraction < 1.0:
-            cols = np.sort(rng.choice(d, size=n_sub, replace=False))
+            drawn = position[np.sort(rng.choice(d, size=n_sub, replace=False))]
+            local = drawn[drawn >= 0]
+            Xn, node_cols = Xv[np.ix_(idx, local)], cols[local]
         else:
-            cols = np.arange(d)
-        Xn = X[np.ix_(idx, cols)]
+            Xn, node_cols = Xv[idx], cols
         varying = Xn.min(axis=0) < Xn.max(axis=0)
         if not varying.any():
             continue
-        split = _best_split(Xn[:, varying], yn, cols[varying], config.min_samples_leaf)
+        split = _best_split(Xn[:, varying], yn, node_cols[varying], config.min_samples_leaf)
         if split is None:
             continue
         f, thr, gain = split
-        go_left = X[idx, f] <= thr
+        go_left = Xv[idx, position[f]] <= thr
         if not go_left.any() or go_left.all():  # adjacent-float midpoint degeneracy
             continue
         feature[slot] = f
@@ -230,11 +239,13 @@ def train(X, y, config: TrainConfig = TrainConfig()) -> Forest:
         raise ValueError("need at least 2 samples and matching targets")
     if not (np.isfinite(X).all() and np.isfinite(y).all()):
         raise ValueError("non-finite values in the training data")
+    cols = np.flatnonzero(X.min(axis=0) < X.max(axis=0))
+    Xv = X[:, cols]
     seeds = np.random.SeedSequence(config.seed).spawn(config.n_trees)
     trees = []
     for ss in seeds:
         rng = np.random.default_rng(ss)
-        trees.append(_grow_tree(X, y, rng.integers(0, n, size=n), config, rng))
+        trees.append(_grow_tree(Xv, y, rng.integers(0, n, size=n), cols, d, config, rng))
     return Forest(trees, config, d)
 
 

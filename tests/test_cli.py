@@ -317,7 +317,8 @@ def test_cli_import_leaves_scipy_out():
 def test_pipeline_run_log_records_stage_counts(dataset, tmp_path):
     """The pipeline records of run_log.jsonl carry the ph and vectorize
     counts, summed over the items: recomputed here cloud by cloud, with
-    histogram windows narrow enough that pairs are dropped."""
+    histogram windows narrow enough that pairs are dropped. A record with
+    train carries each tree's node count and the size of model.json."""
     copy = tmp_path / "d"
     shutil.copytree(dataset, copy)
     assert run("pipeline", copy / "manifest.json", "--stages", "vectorize",
@@ -325,7 +326,11 @@ def test_pipeline_run_log_records_stage_counts(dataset, tmp_path):
     records = [r for r in map(json.loads, (copy / "run_log.jsonl").read_text().splitlines())
                if r["command"] == "pipeline"]
     ph_record, vectorize_record = records[0], records[-1]
-    assert "ph" not in vectorize_record
+    assert "ph" not in vectorize_record and "train" not in vectorize_record
+    model = json.loads((copy / "model.json").read_text())
+    assert ph_record["train"] == {"nodes": [len(t["feature"]) for t in model["trees"]],
+                                  "model_bytes": (copy / "model.json").stat().st_size}
+    assert len(ph_record["train"]["nodes"]) == 15
     m = cli.load_manifest(copy / "manifest.json")
     h1s, h2s = cli._manifest_specs(m)
     simplices = [0] * 4
@@ -354,6 +359,21 @@ def test_pipeline_blur_wider_than_axis(dataset, tmp_path):
     shutil.copytree(dataset, copy)
     assert run("pipeline", copy / "manifest.json", "--stages", "vectorize",
                "--h2-pers-max", 0.2) == 0
+
+
+def test_pipeline_histogram_flag_keeps_other_spec_fields(tmp_path):
+    """An override flag changes only its own field: the H2 spec keeps its
+    own blur_sigma, which no flag names, and H1 is left as it was."""
+    out = tmp_path / "d"
+    assert run("gen-data", "--count", 3, "--seed", 2, "--out", out) == 0
+    _edit_json(out / "manifest.json", lambda m: m["histograms"]["h2"].update(blur_sigma=0.3))
+    h1 = json.loads((out / "manifest.json").read_text())["histograms"]["h1"]
+    assert run("pipeline", out / "manifest.json", "--stages", "ph,vectorize",
+               "--h2-pers-max", 3.0) == 0
+    histograms = json.loads((out / "manifest.json").read_text())["histograms"]
+    assert histograms["h2"]["blur_sigma"] == 0.3
+    assert histograms["h2"]["persistence_max"] == 3.0
+    assert histograms["h1"] == h1
 
 
 def _set_dotted(obj, key, value):
@@ -463,7 +483,7 @@ def test_pipeline_run_log_records_every_flag(dataset, tmp_path):
            "histograms": m["histograms"], "format_version": cli.FORMAT_VERSION}
     assert {k: record[k] for k in old} == old
     assert m["histograms"]["h2"]["persistence_max"] == 3.0
-    assert set(record) == set(flags) | set(old) | {"vectorize", "holdout_r2"}
+    assert set(record) == set(flags) | set(old) | {"vectorize", "train", "holdout_r2"}
 
 
 def test_pipeline_feature_subsampling_and_min_leaf(dataset, tmp_path):

@@ -245,6 +245,104 @@ def test_best_split_matches_brute_force(seed, n, d, min_leaf, levels, duplicates
 
 
 # ---------------------------------------------------------------------------
+# Tree growth
+
+def grow_tree_oracle(X, y, sample_idx, config, rng):
+    """Grow one tree on every column of X: each node copies and scans all
+    of them (or all it drew) and keeps those that vary over its rows."""
+    d = X.shape[1]
+    n_total = len(sample_idx)
+    n_sub = max(1, int(np.ceil(config.max_features_fraction * d)))
+    feature, threshold, left, right, value, n_samples, decrease = [], [], [], [], [], [], []
+
+    def new_node():
+        for a in (feature, threshold, left, right, value, n_samples, decrease):
+            a.append(0)
+        return len(feature) - 1
+
+    stack = [(sample_idx, new_node())]
+    while stack:
+        idx, slot = stack.pop()
+        yn = y[idx]
+        n_samples[slot] = len(idx)
+        value[slot] = float(yn.mean())
+        feature[slot] = -1
+        threshold[slot] = 0.0
+        left[slot] = right[slot] = -1
+        decrease[slot] = 0.0
+        if len(idx) < max(2, 2 * config.min_samples_leaf) or yn.min() == yn.max():
+            continue
+        if config.max_features_fraction < 1.0:
+            cols = np.sort(rng.choice(d, size=n_sub, replace=False))
+        else:
+            cols = np.arange(d)
+        Xn = X[np.ix_(idx, cols)]
+        varying = Xn.min(axis=0) < Xn.max(axis=0)
+        if not varying.any():
+            continue
+        split = fr._best_split(Xn[:, varying], yn, cols[varying], config.min_samples_leaf)
+        if split is None:
+            continue
+        f, thr, gain = split
+        go_left = X[idx, f] <= thr
+        if not go_left.any() or go_left.all():
+            continue
+        feature[slot] = f
+        threshold[slot] = thr
+        decrease[slot] = gain / n_total
+        l_slot, r_slot = new_node(), new_node()
+        left[slot], right[slot] = l_slot, r_slot
+        stack.append((idx[~go_left], r_slot))
+        stack.append((idx[go_left], l_slot))
+    return fr._tree((feature, threshold, left, right, value, n_samples, decrease))
+
+
+def train_oracle(X, y, config):
+    """`train` with every tree grown by `grow_tree_oracle`, from the same
+    per-tree seeds."""
+    trees = []
+    for ss in np.random.SeedSequence(config.seed).spawn(config.n_trees):
+        rng = np.random.default_rng(ss)
+        trees.append(grow_tree_oracle(X, y, rng.integers(0, len(X), size=len(X)), config, rng))
+    return fr.Forest(trees, config, X.shape[1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 24), st.integers(1, 12),
+       st.integers(1, 3), st.sampled_from([0.05, 0.3, 1.0]), st.integers(1, 4),
+       st.booleans())
+@example(0, 6, 5, 1, 0.3, 1, False)
+def test_train_matches_full_table_oracle(seed, n, d, min_leaf, fraction, levels, duplicates):
+    """Trees grown on the varying columns equal trees grown on the full
+    table, node array for node array. Few value levels tie values and
+    make columns constant, about a third of the columns are constant by
+    construction, `duplicates` repeats whole rows, and the targets are
+    floats."""
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, levels, size=(n, d)).astype(float) * 0.5
+    X[:, rng.random(d) < 0.35] = rng.normal()
+    y = rng.normal(size=n)
+    if duplicates:
+        rows = rng.integers(0, max(1, n // 2), size=n)
+        X, y = X[rows], y[rows]
+    config = fr.TrainConfig(n_trees=4, max_features_fraction=fraction,
+                            min_samples_leaf=min_leaf, seed=seed)
+    assert fr.train(X, y, config).to_dict() == train_oracle(X, y, config).to_dict()
+
+
+def test_all_constant_columns_grow_single_leaves():
+    """With no column varying, every tree is its root leaf, as the full-table
+    grower makes it."""
+    X = np.column_stack([np.full(12, 1.5), np.zeros(12), np.full(12, -2.0)])
+    y = np.arange(12, dtype=float)
+    for fraction in (0.3, 1.0):
+        config = fr.TrainConfig(n_trees=5, max_features_fraction=fraction, seed=3)
+        model = fr.train(X, y, config)
+        assert all(len(t.feature) == 1 and t.feature[0] == -1 for t in model.trees)
+        assert model.to_dict() == train_oracle(X, y, config).to_dict()
+
+
+# ---------------------------------------------------------------------------
 # Serialization
 
 def test_model_roundtrip(rng):
