@@ -26,6 +26,7 @@ from . import forest as forest_mod
 from . import geometry as geo
 from . import persistence as ph
 from . import vectorize as vec
+from .parallel import map_in_order
 from .xai import DEFAULT_RATIO, DEFAULT_STEPS, CohortSizeError, SimilaritySpec
 
 FORMAT_VERSION = "1"
@@ -196,6 +197,10 @@ def load_manifest(path) -> dict:
             spec.from_dict(fields)
         except ValueError as exc:
             raise DataError(f"{path}: '{key}': {exc}") from None
+    bins = {key: m["histograms"][key]["bins_per_axis"] for key in ("h1", "h2")}
+    if bins["h1"] != bins["h2"]:  # the two images share one feature layout
+        raise DataError(f"{path}: 'histograms.h2.bins_per_axis' is {bins['h2']}, but"
+                        f" 'histograms.h1.bins_per_axis' is {bins['h1']}; they must be equal")
     if not m["items"]:
         raise DataError(f"{path}: no items")
     for k, item in enumerate(m["items"]):
@@ -256,13 +261,17 @@ def _load_features(m: dict) -> tuple[list[str], np.ndarray]:
 
 
 def _load_model(m: dict) -> forest_mod.Forest:
-    path = m["_dir"] / "model.json"
-    if not path.exists():
-        raise DataError("model.json not found; run `pipeline --stages train` first")
-    try:
-        return forest_mod.Forest.from_dict(json.loads(path.read_text()))
-    except (ValueError, KeyError) as exc:
-        raise DataError(f"{path}: {exc}") from None
+    """The model, read and checked at most once per command: the train
+    stage leaves the forest it wrote on the manifest dict."""
+    if "_model" not in m:
+        path = m["_dir"] / "model.json"
+        if not path.exists():
+            raise DataError("model.json not found; run `pipeline --stages train` first")
+        try:
+            m["_model"] = forest_mod.Forest.from_dict(json.loads(path.read_text()))
+        except (ValueError, KeyError) as exc:
+            raise DataError(f"{path}: {exc}") from None
+    return m["_model"]
 
 
 def _predictions(m: dict) -> np.ndarray:
@@ -328,24 +337,28 @@ def _filtration(m: dict, cloud: geo.PointCloud) -> ph.Filtration:
 # Each stage returns the entries it adds to the pipeline's run-log record.
 
 def _stage_ph(m: dict, args) -> dict:
-    """Write each item's diagram; log points, simplices per dimension and
-    pairs per dimension, summed over the items."""
+    """Write each item's diagram, the items spread over the CPUs; log points,
+    simplices per dimension and pairs per dimension, summed over the items."""
     if args.max_radius is not None:
         _check_max_radius(args.max_radius)
         m["rips"]["max_radius"] = args.max_radius
     out = m["_dir"] / "diagrams"
     out.mkdir(exist_ok=True)
-    simplices = [0] * (m["rips"]["max_dim"] + 1)
-    pair_counts = {"h1": 0, "h2": 0}
-    for item in m["items"]:
+    dims = range(m["rips"]["max_dim"] + 1)
+
+    def item_counts(item: dict) -> tuple[list[int], list[int]]:
         filtration = _filtration(m, _load_cloud(m, item))
         pairs = ph.reduce(filtration)
         _write_json(out / f"{item['id']}.json", ph.diagrams_to_records(pairs))
-        for d in range(len(simplices)):
-            simplices[d] += filtration.count(d)
-        for p in pairs:
-            pair_counts[f"h{p.dimension}"] += 1
-    return {"ph": {"points": simplices[0], "simplices": simplices, "pairs": pair_counts}}
+        return ([filtration.count(d) for d in dims],
+                [sum(p.dimension == d for p in pairs) for d in (1, 2)])
+
+    simplices, pairs = [0] * len(dims), [0, 0]
+    for item_simplices, item_pairs in map_in_order(item_counts, m["items"]):
+        simplices = [a + b for a, b in zip(simplices, item_simplices)]
+        pairs = [a + b for a, b in zip(pairs, item_pairs)]
+    return {"ph": {"points": simplices[0], "simplices": simplices,
+                   "pairs": {"h1": pairs[0], "h2": pairs[1]}}}
 
 
 def _pairs_from_records(records) -> list[ph.PersistencePair]:
@@ -396,8 +409,8 @@ def _stage_vectorize(m: dict, args) -> dict:
 
 
 def _stage_train(m: dict, args) -> dict:
-    """Write model.json; log the node count of each tree, the model's size
-    and the holdout R^2 if there is a holdout."""
+    """Write model.json; log the node count and depth of each tree, the
+    model's size and the holdout R^2 if there is a holdout."""
     ids, X = _load_features(m)
     y = np.array([item["target"] for item in m["items"]], dtype=float)
     if ids != [item["id"] for item in m["items"]]:
@@ -413,7 +426,9 @@ def _stage_train(m: dict, args) -> dict:
     model = forest_mod.train(X[:n_train], y[:n_train], config)
     model_path = m["_dir"] / "model.json"
     _write_json(model_path, model.to_dict())
+    m["_model"] = model
     log = {"train": {"nodes": [len(t.feature) for t in model.trees],
+                     "depth": [t.depth() for t in model.trees],
                      "model_bytes": model_path.stat().st_size}}
     for item in m["items"]:  # they came from the model just replaced
         item["prediction"] = None

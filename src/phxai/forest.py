@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .parallel import map_in_order
+
 MODEL_FORMAT = "phxai-forest-v1"
 
 
@@ -74,6 +76,16 @@ class Tree:
             node[idx] = np.where(go_left, self.left[node[idx]], self.right[node[idx]])
             internal = self.feature[node] >= 0
         return self.value[node]
+
+    def depth(self) -> int:
+        """Edges on the longest root-to-leaf path, 0 for a lone leaf."""
+        level, depth = np.zeros(1, dtype=np.int64), 0
+        while True:
+            level = level[self.feature[level] >= 0]
+            if not len(level):
+                return depth
+            level = np.concatenate((self.left[level], self.right[level]))
+            depth += 1
 
 
 # Tree's node arrays, in field order, with their dtypes
@@ -228,7 +240,8 @@ def train(X, y, config: TrainConfig = TrainConfig()) -> Forest:
     """Grow `config.n_trees` trees on bootstrap samples of (X, y).
 
     Per-tree randomness is derived from config.seed, so training is
-    reproducible and trees are independent of evaluation order.
+    reproducible and trees are independent of evaluation order; the trees
+    are grown on every CPU the process may use and joined in seed order.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -241,12 +254,13 @@ def train(X, y, config: TrainConfig = TrainConfig()) -> Forest:
         raise ValueError("non-finite values in the training data")
     cols = np.flatnonzero(X.min(axis=0) < X.max(axis=0))
     Xv = X[:, cols]
-    seeds = np.random.SeedSequence(config.seed).spawn(config.n_trees)
-    trees = []
-    for ss in seeds:
+
+    def grow(ss: np.random.SeedSequence) -> Tree:
         rng = np.random.default_rng(ss)
-        trees.append(_grow_tree(Xv, y, rng.integers(0, n, size=n), cols, d, config, rng))
-    return Forest(trees, config, d)
+        return _grow_tree(Xv, y, rng.integers(0, n, size=n), cols, d, config, rng)
+
+    seeds = np.random.SeedSequence(config.seed).spawn(config.n_trees)
+    return Forest(map_in_order(grow, seeds), config, d)
 
 
 def predict(forest: Forest, x) -> float:

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import shutil
 import subprocess
@@ -12,6 +13,7 @@ from phxai import cli
 from phxai import explain as ex
 from phxai import forest as forest_mod
 from phxai import geometry as geo
+from phxai import parallel
 from phxai import persistence as ph
 from phxai import vectorize as vec
 
@@ -261,6 +263,10 @@ BAD_INPUTS = {
         "ph,vectorize", "manifest.json: 'histograms.h1': birth_max must be positive",
         lambda d: _edit_json(d / "manifest.json",
                              lambda m: m["histograms"]["h1"].update(birth_max=-1.0))),
+    "manifest_histogram_bins_differ": (
+        "ph,vectorize", "manifest.json: 'histograms.h2.bins_per_axis' is 40",
+        lambda d: _edit_json(d / "manifest.json",
+                             lambda m: m["histograms"]["h2"].update(bins_per_axis=40))),
     "manifest_item_params_not_object": ("predict", "manifest.json: 'items.1.params' is not an object",
                                         lambda d: _edit_json(
         d / "manifest.json", lambda m: m["items"][1].update(params="cube"))),
@@ -314,11 +320,21 @@ def test_cli_import_leaves_scipy_out():
     assert proc.returncode == 0, proc.stderr
 
 
+def tree_depth(tree: dict) -> int:
+    """Depth of a model.json tree, node by node: children follow their parent."""
+    depth = [0] * len(tree["feature"])
+    for node, f in enumerate(tree["feature"]):
+        if f >= 0:
+            depth[tree["left"][node]] = depth[tree["right"][node]] = depth[node] + 1
+    return max(depth)
+
+
 def test_pipeline_run_log_records_stage_counts(dataset, tmp_path):
     """The pipeline records of run_log.jsonl carry the ph and vectorize
     counts, summed over the items: recomputed here cloud by cloud, with
     histogram windows narrow enough that pairs are dropped. A record with
-    train carries each tree's node count and the size of model.json."""
+    train carries each tree's node count and depth and the size of
+    model.json."""
     copy = tmp_path / "d"
     shutil.copytree(dataset, copy)
     assert run("pipeline", copy / "manifest.json", "--stages", "vectorize",
@@ -329,7 +345,9 @@ def test_pipeline_run_log_records_stage_counts(dataset, tmp_path):
     assert "ph" not in vectorize_record and "train" not in vectorize_record
     model = json.loads((copy / "model.json").read_text())
     assert ph_record["train"] == {"nodes": [len(t["feature"]) for t in model["trees"]],
+                                  "depth": [tree_depth(t) for t in model["trees"]],
                                   "model_bytes": (copy / "model.json").stat().st_size}
+    assert max(ph_record["train"]["depth"]) > 1
     assert len(ph_record["train"]["nodes"]) == 15
     m = cli.load_manifest(copy / "manifest.json")
     h1s, h2s = cli._manifest_specs(m)
@@ -350,6 +368,59 @@ def test_pipeline_run_log_records_stage_counts(dataset, tmp_path):
     assert vectorize_record["vectorize"] == {"dropped": dropped}
     assert dropped["h1"] > 0 and dropped["h2"] > 0
     assert simplices[0] == sum(len(geo.load_xyz(dataset / i["cloud"])) for i in m["items"])
+
+
+@pytest.fixture(scope="module")
+def dataset14(tmp_path_factory):
+    out = tmp_path_factory.mktemp("ds14")
+    assert run("gen-data", "--count", 14, "--seed", 6, "--out", out) == 0
+    return out
+
+
+def _pipeline_with_cpus(monkeypatch, capsys, dataset, copy, cpus):
+    """Copy `dataset` to `copy` and run every pipeline stage on it with
+    map_in_order seeing `cpus` CPUs: the exit code and standard error, with
+    `copy` in it written as <dir>."""
+    shutil.copytree(dataset, copy)
+    monkeypatch.setattr(parallel, "cpu_count", lambda: cpus)
+    capsys.readouterr()
+    code = run("pipeline", copy / "manifest.json", "--stages", "ph,vectorize,train,predict",
+               "--trees", 9, "--holdout", 3, "--seed", 4)
+    assert multiprocessing.active_children() == []
+    return code, capsys.readouterr().err.replace(str(copy), "<dir>")
+
+
+def test_pipeline_outputs_do_not_depend_on_the_cpu_count(dataset14, tmp_path, monkeypatch,
+                                                          capsys):
+    """Per-item persistence and per-tree training in one process or spread
+    over two: every file the pipeline writes, the run log included, is the
+    same byte for byte."""
+    files = {}
+    for cpus in (1, 2):
+        out = tmp_path / f"cpus{cpus}"
+        assert _pipeline_with_cpus(monkeypatch, capsys, dataset14, out, cpus) == (0, "")
+        files[cpus] = {str(f.relative_to(out)): f.read_bytes()
+                       for f in sorted(out.rglob("*")) if f.is_file()}
+    assert len(files[1]) == 14 * 4 + 4  # clouds, diagrams, 2 landscapes per item
+    assert files[1] == files[2]
+
+
+def test_pipeline_bad_clouds_fail_alike_in_one_and_two_processes(dataset14, tmp_path,
+                                                                 monkeypatch, capsys):
+    """With two corrupt clouds, both runs exit 2 with the error of the
+    earlier item, whichever process met the later one first."""
+    bad = tmp_path / "bad"
+    shutil.copytree(dataset14, bad)
+    _edit_csv_line(bad / "clouds" / "item_0003.xyz", 4,
+                   lambda line: line.rsplit(" ", 1)[0] + " x")
+    _edit_csv_line(bad / "clouds" / "item_0009.xyz", 3,
+                   lambda line: line.rsplit(" ", 1)[0] + " nan")
+    outcomes = {cpus: _pipeline_with_cpus(monkeypatch, capsys, bad, tmp_path / f"cpus{cpus}",
+                                          cpus) for cpus in (1, 2)}
+    assert outcomes[1] == outcomes[2]
+    code, err = outcomes[2]
+    assert code == 2
+    assert err == "error: <dir>/clouds/item_0003.xyz: line 4: non-numeric coordinate\n"
 
 
 def test_pipeline_blur_wider_than_axis(dataset, tmp_path):
