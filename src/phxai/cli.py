@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 resource error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -154,6 +155,8 @@ ITEM_FIELDS = _by_steps({
     "target": _FINITE, "prediction": (lambda v: v is None or _is_finite(v),
                                       "null or a finite number"),
 })
+# The fields of each `diagrams/<id>.json` record, below its index.
+DIAGRAM_FIELDS = _by_steps({"dim": _INT, "birth": _FINITE, "death": _FINITE})
 
 
 def _check_fields(path: Path, obj: dict, fields: dict, where: tuple = ()) -> None:
@@ -177,11 +180,18 @@ def _check_fields(path: Path, obj: dict, fields: dict, where: tuple = ()) -> Non
                             f" not {value!r}")
 
 
+def _read_json(path: Path):
+    try:
+        return json.loads(path.read_text())
+    except ValueError as exc:  # a decode error of the JSON or of the text
+        raise DataError(f"{path}: not valid JSON: {exc}") from None
+
+
 def load_manifest(path) -> dict:
     path = Path(path)
     if not path.exists():
         raise DataError(f"manifest not found: {path}")
-    m = json.loads(path.read_text())
+    m = _read_json(path)
     if not isinstance(m, dict):
         raise DataError(f"{path}: not a JSON object")
     if m.get("format_version") != FORMAT_VERSION:
@@ -361,7 +371,14 @@ def _stage_ph(m: dict, args) -> dict:
                    "pairs": {"h1": pairs[0], "h2": pairs[1]}}}
 
 
-def _pairs_from_records(records) -> list[ph.PersistencePair]:
+def _load_pairs(path: Path) -> list[ph.PersistencePair]:
+    """The pairs of a diagram file, each record checked against
+    `DIAGRAM_FIELDS`; a bad record is a data error naming its index."""
+    records = _read_json(path)
+    if not isinstance(records, list):
+        raise DataError(f"{path}: not a list of records")
+    for k, record in enumerate(records):
+        _check_fields(path, record, DIAGRAM_FIELDS, (str(k),))
     return [ph.PersistencePair(r["dim"], r["birth"], r["death"], -1, -1) for r in records]
 
 
@@ -391,8 +408,7 @@ def _stage_vectorize(m: dict, args) -> dict:
         dg_path = m["_dir"] / "diagrams" / f"{item['id']}.json"
         if not dg_path.exists():
             raise DataError(f"diagram for {item['id']} not found; run --stages ph first")
-        records = json.loads(dg_path.read_text())
-        img1, img2 = vec.landscapes(_pairs_from_records(records), h1s, h2s)
+        img1, img2 = vec.landscapes(_load_pairs(dg_path), h1s, h2s)
         dropped["h1"] += img1.dropped
         dropped["h2"] += img2.dropped
         row = vec.features(img1, img2)
@@ -486,7 +502,16 @@ def _pipeline_scorer(m: dict, model: forest_mod.Forest):
     return score
 
 
-def _explain_pixels(m: dict, args, target_idx: int, out_dir: Path) -> None:
+# Each explain handler returns the entries it adds to the run-log record.
+
+def _gap(att) -> float:
+    """How far the values miss the endpoints they bridge."""
+    return float(att.values.sum()) - (att.total - att.baseline)
+
+
+def _explain_pixels(m: dict, args, target_idx: int, out_dir: Path) -> dict:
+    """Write the pixel maps and the matched cycles; log the gap and the
+    number of feature columns that are not constant."""
     y = _predictions(m)
     ids, X = _load_features(m)
     att = explain_mod.pixel_attribution(X, y, target_idx,
@@ -518,9 +543,11 @@ def _explain_pixels(m: dict, args, target_idx: int, out_dir: Path) -> None:
                                   vertices=sorted(cycle.vertex_set))
                 cycles.append(record)
     _write_json(out_dir / f"cycles_{item_id}.json", cycles)
+    return {"gap": _gap(att), "varying": int((X.max(axis=0) > X.min(axis=0)).sum())}
 
 
-def _explain_params(m: dict, args, target_idx: int, out_dir: Path) -> None:
+def _explain_params(m: dict, args, target_idx: int, out_dir: Path) -> dict:
+    """Write the Cohort Shapley values; log their gap."""
     y = _predictions(m)
     table = [geo.ParamVector.from_dict(item["params"]) for item in m["items"]]
     att = explain_mod.param_attribution(table, y, target_idx)
@@ -528,9 +555,10 @@ def _explain_params(m: dict, args, target_idx: int, out_dir: Path) -> None:
     _write_json(out_dir / f"params_{item_id}.json",
                 {"baseline": att.baseline, "total": att.total, "values": att.values.tolist(),
                  "feature_names": list(geo.PARAM_NAMES)})
+    return {"gap": _gap(att)}
 
 
-def _explain_grid(m: dict, args, target_idx: int, out_dir: Path) -> None:
+def _explain_grid(m: dict, args, target_idx: int, out_dir: Path) -> dict:
     model = _load_model(m)
     item = m["items"][target_idx]
     cloud = _load_cloud(m, item)
@@ -541,9 +569,10 @@ def _explain_grid(m: dict, args, target_idx: int, out_dir: Path) -> None:
                                              spec, args.steps,
                                              SimilaritySpec(ratio=args.ratio))
     _write_json(out_dir / f"grid_{item['id']}.json", att.to_record())
+    return {}
 
 
-def _explain_higher(m: dict, args, target_idx: int, out_dir: Path) -> None:
+def _explain_higher(m: dict, args, target_idx: int, out_dir: Path) -> dict:
     y = _predictions(m)
     ids, X = _load_features(m)
     table = [geo.ParamVector.from_dict(item["params"]) for item in m["items"]]
@@ -561,6 +590,7 @@ def _explain_higher(m: dict, args, target_idx: int, out_dir: Path) -> None:
         "first_order_total": maps.first_order.total,
         "quantile": args.pixel_quantile, "steps": args.steps,
     })
+    return {}
 
 
 def cmd_explain(args) -> int:
@@ -570,8 +600,8 @@ def cmd_explain(args) -> int:
     out_dir.mkdir(exist_ok=True)
     handlers = {"pixels": _explain_pixels, "params": _explain_params,
                 "grid": _explain_grid, "higher": _explain_higher}
-    handlers[args.mode](m, args, target_idx, out_dir)
-    _append_run_log(m["_dir"], _flags(args))
+    entries = handlers[args.mode](m, args, target_idx, out_dir)
+    _append_run_log(m["_dir"], dict(_flags(args), **entries))
     return 0
 
 
@@ -627,7 +657,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `phxai` parser, built once per process and shared by every
+    `main` call. That is safe: `parse_args` returns a new namespace each
+    time, and usage, help and errors look up `sys.stdout` and `sys.stderr`
+    when they print. `set_defaults` binds each `cmd_*` function when the
+    parser is built, so patching a `cmd_*` later does not reach `main`."""
     p = _Parser(prog="phxai", description=__doc__,
                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
@@ -691,7 +727,7 @@ def main(argv=None) -> int:
     except (ph.SimplexBudgetError, CohortSizeError, MemoryError) as exc:
         print(f"resource error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

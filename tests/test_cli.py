@@ -270,6 +270,24 @@ BAD_INPUTS = {
     "manifest_item_params_not_object": ("predict", "manifest.json: 'items.1.params' is not an object",
                                         lambda d: _edit_json(
         d / "manifest.json", lambda m: m["items"][1].update(params="cube"))),
+    "manifest_not_json": ("predict", "manifest.json: not valid JSON", lambda d: (
+        d / "manifest.json").write_text('{"format_version": "1",\n')),
+    "diagram_not_json": ("vectorize", "item_0003.json: not valid JSON", lambda d: (
+        d / "diagrams" / "item_0003.json").write_text("[{}")),
+    "diagram_not_list": ("vectorize", "item_0003.json: not a list of records",
+                         lambda d: (d / "diagrams" / "item_0003.json").write_text(
+        '{"dim": 1, "birth": 0.5, "death": 1.0}')),
+    "diagram_record_no_dim": ("vectorize", "item_0003.json: missing key '2.dim'",
+                              lambda d: _edit_json(
+        d / "diagrams" / "item_0003.json", lambda records: records[2].pop("dim"))),
+    "diagram_birth_not_number": ("vectorize",
+                                 "item_0003.json: '2.birth' must be a finite number, not 'x'",
+                                 lambda d: _edit_json(
+        d / "diagrams" / "item_0003.json", lambda records: records[2].update(birth="x"))),
+    "diagram_birth_nan": ("vectorize",
+                          "item_0003.json: '2.birth' must be a finite number, not nan",
+                          lambda d: _edit_json(
+        d / "diagrams" / "item_0003.json", lambda records: records[2].update(birth=float("nan")))),
     "features_nan_predict": ("predict", "features.csv, line 3", lambda d: _edit_csv_line(
         d / "features.csv", 3, lambda line: line.rsplit(",", 1)[0] + ",nan")),
     "features_inf_train": ("train", "features.csv, line 4", lambda d: _edit_csv_line(
@@ -689,6 +707,32 @@ def test_explain_higher_quantile_contract(dataset):
         assert grid.shape == (54, 54)
 
 
+def _run_log(data):
+    return [json.loads(line) for line in (data / "run_log.jsonl").read_text().splitlines()]
+
+
+def test_explain_run_log_records_gap_and_varying(dataset, tmp_path):
+    """The params and pixels records of run_log.jsonl carry the gap
+    `sum - (total - baseline)` of the attribution file they wrote, and the
+    pixels record the number of feature columns that are not constant."""
+    copy = tmp_path / "d"
+    shutil.copytree(dataset, copy)
+    manifest = copy / "manifest.json"
+    assert run("explain", manifest, "--mode", "params", "--target", "item_0002") == 0
+    assert run("explain", manifest, "--mode", "pixels", "--target", "item_0001",
+               "--steps", 10, "--top-k", 1) == 0
+    params_record, pixels_record = _run_log(copy)[-2:]
+    params = json.loads((copy / "attributions" / "params_item_0002.json").read_text())
+    assert params_record["gap"] == (float(np.sum(params["values"]))
+                                    - (params["total"] - params["baseline"]))
+    pixels = json.loads((copy / "attributions" / "pixels_item_0001.json").read_text())
+    assert pixels_record["gap"] == pixels["sum"] - (pixels["total"] - pixels["baseline"])
+    _, X = cli._read_features(copy / "features.csv")
+    varying = int((X.max(axis=0) > X.min(axis=0)).sum())
+    assert pixels_record["varying"] == varying
+    assert 0 < varying < X.shape[1]
+
+
 def test_explain_unknown_target(dataset):
     assert run("explain", dataset / "manifest.json", "--mode", "params",
                "--target", "item_9999") == 2
@@ -754,5 +798,32 @@ def test_render_bad_cell_names_file_and_line(tmp_path, capsys, cell):
     assert not (tmp_path / "x.pgm").exists()
 
 
-def test_usage_error_exit_code():
+# ---------------------------------------------------------------------------
+# one parser per process: every call below runs in this test process
+
+def test_usage_error_exit_code(tmp_path):
+    """A usage error leaves the shared parser fit for the next command."""
     assert run("explain") == 1
+    assert run("gen-data", "--count", 2, "--seed", 1, "--out", tmp_path / "g") == 0
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_shared_parser_leaks_no_flag_between_commands(dataset, tmp_path):
+    copy = tmp_path / "d"
+    shutil.copytree(dataset, copy)
+    manifest = copy / "manifest.json"
+    assert run("explain", manifest, "--mode", "pixels", "--target", "item_0001",
+               "--steps", 7, "--top-k", 1) == 0
+    assert run("explain", manifest, "--mode", "params", "--target", "item_0001") == 0
+    pixels_record, params_record = _run_log(copy)[-2:]
+    assert (pixels_record["mode"], pixels_record["steps"]) == ("pixels", 7)
+    assert (params_record["mode"], params_record["steps"]) == ("params", 50)
+
+
+def test_help_twice_prints_usage_each_time(capsys):
+    for _ in range(2):
+        assert run("--help") == 0
+        assert capsys.readouterr().out.startswith("usage: phxai")
