@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 resource error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -92,9 +93,17 @@ def _parse_rows(path, numbered_lines, width: int, skip: int = 0) -> np.ndarray:
     return values
 
 
+def _read_text(path: Path) -> str:
+    """An input file's text; bytes that are not UTF-8 are a data error."""
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from None
+
+
 def read_grid_csv(path) -> np.ndarray:
     lines = [(lineno, line) for lineno, line in
-             enumerate(Path(path).read_text().splitlines(), start=1) if line.strip()]
+             enumerate(_read_text(path).splitlines(), start=1) if line.strip()]
     if not lines:
         raise DataError(f"{path}: empty grid")
     return _parse_rows(path, lines, len(lines[0][1].split(",")))
@@ -182,8 +191,8 @@ def _check_fields(path: Path, obj: dict, fields: dict, where: tuple = ()) -> Non
 
 def _read_json(path: Path):
     try:
-        return json.loads(path.read_text())
-    except ValueError as exc:  # a decode error of the JSON or of the text
+        return json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
         raise DataError(f"{path}: not valid JSON: {exc}") from None
 
 
@@ -252,7 +261,7 @@ def _load_cloud(m: dict, item: dict) -> geo.PointCloud:
 
 
 def _read_features(path: Path) -> tuple[list[str], np.ndarray]:
-    lines = path.read_text().splitlines()
+    lines = _read_text(path).splitlines()
     if not lines:
         raise DataError(f"{path}: empty file")
     X = _parse_rows(path, enumerate(lines[1:], start=2), len(lines[0].split(",")) - 1, skip=1)
@@ -277,8 +286,9 @@ def _load_model(m: dict) -> forest_mod.Forest:
         path = m["_dir"] / "model.json"
         if not path.exists():
             raise DataError("model.json not found; run `pipeline --stages train` first")
+        model = _read_json(path)
         try:
-            m["_model"] = forest_mod.Forest.from_dict(json.loads(path.read_text()))
+            m["_model"] = forest_mod.Forest.from_dict(model)
         except (ValueError, KeyError) as exc:
             raise DataError(f"{path}: {exc}") from None
     return m["_model"]
@@ -386,19 +396,13 @@ def _stage_vectorize(m: dict, args) -> dict:
     """Write landscapes and features.csv; log the pairs each histogram
     dropped beyond its window, summed over the items."""
     h1s, h2s = _manifest_specs(m)
-    overrides = (args.bins, args.sigma, args.h1_birth_max, args.h1_pers_max,
-                 args.h2_birth_max, args.h2_pers_max)
-    if any(v is not None for v in overrides):
-        def pick(flag, default):
-            return flag if flag is not None else default
-
-        def override(spec, birth_max, pers_max):  # a field without a flag keeps its value
-            return vec.HistogramSpec(spec.dimension, pick(birth_max, spec.birth_max),
-                                     pick(pers_max, spec.persistence_max),
-                                     pick(args.bins, spec.bins_per_axis),
-                                     pick(args.sigma, spec.blur_sigma))
-        h1s = override(h1s, args.h1_birth_max, args.h1_pers_max)
-        h2s = override(h2s, args.h2_birth_max, args.h2_pers_max)
+    shared = {"bins_per_axis": args.bins, "blur_sigma": args.sigma}
+    overrides = [dict(shared, birth_max=args.h1_birth_max, persistence_max=args.h1_pers_max),
+                 dict(shared, birth_max=args.h2_birth_max, persistence_max=args.h2_pers_max)]
+    if any(v is not None for flags in overrides for v in flags.values()):
+        # a field without a flag keeps its value
+        h1s, h2s = (dataclasses.replace(spec, **{k: v for k, v in flags.items() if v is not None})
+                    for spec, flags in zip((h1s, h2s), overrides))
         m["histograms"] = {"h1": h1s.to_dict(), "h2": h2s.to_dict()}
     land_dir = m["_dir"] / "landscapes"
     land_dir.mkdir(exist_ok=True)
@@ -443,8 +447,8 @@ def _stage_train(m: dict, args) -> dict:
     model_path = m["_dir"] / "model.json"
     _write_json(model_path, model.to_dict())
     m["_model"] = model
-    log = {"train": {"nodes": [len(t.feature) for t in model.trees],
-                     "depth": [t.depth() for t in model.trees],
+    log = {"train": {"nodes": np.diff(model.start).tolist(),
+                     "depth": forest_mod.depths(model).tolist(),
                      "model_bytes": model_path.stat().st_size}}
     for item in m["items"]:  # they came from the model just replaced
         item["prediction"] = None
@@ -512,6 +516,8 @@ def _gap(att) -> float:
 def _explain_pixels(m: dict, args, target_idx: int, out_dir: Path) -> dict:
     """Write the pixel maps and the matched cycles; log the gap and the
     number of feature columns that are not constant."""
+    if args.top_k < 1:  # before any file is written
+        raise DataError("--top-k must be >= 1")
     y = _predictions(m)
     ids, X = _load_features(m)
     att = explain_mod.pixel_attribution(X, y, target_idx,

@@ -6,12 +6,14 @@ feature values, with impurity ties broken by lowest feature index and then
 lowest threshold so training is a pure function of (X, y, config). Trees
 are grown on the columns that vary over the training rows, the only ones
 that can split, and their split features index the full feature layout.
-Trees are stored as flat arrays, which keeps prediction vectorizable and
-the model file a plain JSON document.
+The forest is one table of node arrays, all trees concatenated, so a walk
+takes one numpy step per tree level for every tree and row at once, and the
+model file is a plain JSON document of the per-tree slices.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,100 +51,79 @@ class TrainConfig:
                    int(d["min_samples_leaf"]), int(d["seed"]))
 
 
-@dataclass
-class Tree:
-    """Flat node arrays; `feature` is -1 at leaves and `value` is the leaf mean.
-
-    `decrease` holds each internal node's weighted impurity decrease
-    (split gain divided by the training sample count), the raw material of
-    impurity importance.
-    """
-
-    feature: np.ndarray
-    threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    value: np.ndarray
-    n_samples: np.ndarray
-    decrease: np.ndarray
-
-    def predict_batch(self, X: np.ndarray) -> np.ndarray:
-        node = np.zeros(len(X), dtype=np.int64)
-        internal = self.feature[node] >= 0
-        while internal.any():
-            idx = np.flatnonzero(internal)
-            f = self.feature[node[idx]]
-            go_left = X[idx, f] <= self.threshold[node[idx]]
-            node[idx] = np.where(go_left, self.left[node[idx]], self.right[node[idx]])
-            internal = self.feature[node] >= 0
-        return self.value[node]
-
-    def depth(self) -> int:
-        """Edges on the longest root-to-leaf path, 0 for a lone leaf."""
-        level, depth = np.zeros(1, dtype=np.int64), 0
-        while True:
-            level = level[self.feature[level] >= 0]
-            if not len(level):
-                return depth
-            level = np.concatenate((self.left[level], self.right[level]))
-            depth += 1
-
-
-# Tree's node arrays, in field order, with their dtypes
-_TREE_ARRAYS = {"feature": np.int64, "threshold": float, "left": np.int64, "right": np.int64,
+# A tree's node arrays, in model.json's field order, with their dtypes
+_NODE_ARRAYS = {"feature": np.int64, "threshold": float, "left": np.int64, "right": np.int64,
                 "value": float, "n_samples": np.int64, "decrease": float}
-
-
-def _tree(arrays) -> Tree:
-    return Tree(*(np.array(a, dtype=dtype) for a, dtype in zip(arrays, _TREE_ARRAYS.values())))
-
-
-def _check_tree(k: int, tree: Tree, feature_count: int) -> None:
-    """Reject node arrays that a tree walk could loop on or index past:
-    internal nodes must point strictly forward (the grower always appends
-    children after their parent), leaves must have no children, and split
-    features must lie in [0, feature_count)."""
-    n = len(tree.feature)
-    arrays = [getattr(tree, name) for name in _TREE_ARRAYS]
-    if n == 0 or any(a.ndim != 1 or len(a) != n for a in arrays):
-        raise ValueError(f"tree {k}: node arrays must be non-empty and of equal length")
-    internal = tree.feature >= 0
-    nodes = np.flatnonzero(internal)
-    for child in (tree.left, tree.right):
-        if ((child[internal] <= nodes) | (child[internal] >= n)).any():
-            raise ValueError(f"tree {k}: an internal node's child does not lie after it")
-        if (child[~internal] != -1).any():
-            raise ValueError(f"tree {k}: a leaf has a child")
-    if (tree.feature < -1).any() or (tree.feature >= feature_count).any():
-        raise ValueError(f"tree {k}: a split feature is outside [0, {feature_count})")
+Nodes = namedtuple("Nodes", _NODE_ARRAYS)
 
 
 @dataclass
 class Forest:
-    trees: list[Tree]
+    """The node arrays of all trees, concatenated in tree order; tree k's
+    nodes are `start[k]:start[k + 1]`. `feature` is -1 at leaves, `value` is
+    the leaf mean, and `left` and `right` index nodes of their own tree, -1
+    at leaves, as `model.json` stores them. `decrease` is an internal node's
+    weighted impurity decrease (split gain over the training sample count)."""
+
+    nodes: Nodes
+    start: np.ndarray
     config: TrainConfig
     feature_count: int
 
+    @classmethod
+    def from_trees(cls, trees, config: TrainConfig, feature_count: int) -> "Forest":
+        """Join per-tree node arrays, each tree a mapping from the names in
+        `_NODE_ARRAYS`. Reject a table that a walk could loop on or index
+        past: an internal node's children must follow it in its tree (the
+        grower appends them after it), a leaf has none, and split features
+        lie in [0, feature_count). A fault names the lowest tree with one."""
+        if not trees:
+            raise ValueError("model has no trees")
+        per_tree = []
+        for k, tree in enumerate(trees):
+            arrays = [np.asarray(tree[name], dtype=dtype) for name, dtype in _NODE_ARRAYS.items()]
+            if not len(arrays[0]) or any(a.ndim != 1 or len(a) != len(arrays[0]) for a in arrays):
+                raise ValueError(f"tree {k}: node arrays must be non-empty and of equal length")
+            per_tree.append(arrays)
+        nodes = Nodes(*map(np.concatenate, zip(*per_tree)))
+        sizes = np.array([len(arrays[0]) for arrays in per_tree])
+        start = np.concatenate(([0], np.cumsum(sizes)))
+        tree = np.repeat(np.arange(len(sizes)), sizes)
+        node, size, internal = np.arange(start[-1]) - start[tree], sizes[tree], nodes.feature >= 0
+        faults = [fault for child in (nodes.left, nodes.right) for fault in (
+            (internal & ((child <= node) | (child >= size)),
+             "an internal node's child does not lie after it"),
+            (~internal & (child != -1), "a leaf has a child"))]
+        faults.append(((nodes.feature < -1) | (nodes.feature >= feature_count),
+                       f"a split feature is outside [0, {feature_count})"))
+        found = [(tree[bad.argmax()], i) for i, (bad, _) in enumerate(faults) if bad.any()]
+        if found:
+            k, i = min(found)
+            raise ValueError(f"tree {k}: {faults[i][1]}")
+        return cls(nodes, start, config, feature_count)
+
+    @property
+    def trees(self) -> list[Nodes]:
+        """Each tree's node arrays, views into the table."""
+        return [Nodes(*(a[lo:hi] for a in self.nodes))
+                for lo, hi in zip(self.start, self.start[1:])]
+
     def to_dict(self) -> dict:
+        bounds = self.start.tolist()
         return {
             "format": MODEL_FORMAT,
             "config": self.config.to_dict(),
             "feature_count": self.feature_count,
-            "trees": [{name: getattr(t, name).tolist() for name in _TREE_ARRAYS}
-                      for t in self.trees],
+            "trees": [{name: a[lo:hi].tolist() for name, a in zip(Nodes._fields, self.nodes)}
+                      for lo, hi in zip(bounds, bounds[1:])],
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "Forest":
         if d.get("format") != MODEL_FORMAT:
             raise ValueError(f"unsupported model format {d.get('format')!r}")
-        trees = [_tree(t[name] for name in _TREE_ARRAYS) for t in d["trees"]]
-        feature_count = int(d["feature_count"])
-        if not trees:
-            raise ValueError("model has no trees")
-        for k, tree in enumerate(trees):
-            _check_tree(k, tree, feature_count)
-        return cls(trees, TrainConfig.from_dict(d["config"]), feature_count)
+        return cls.from_trees(d["trees"], TrainConfig.from_dict(d["config"]),
+                              int(d["feature_count"]))
 
 
 def _best_split(Xn: np.ndarray, yn: np.ndarray, cols: np.ndarray, min_leaf: int):
@@ -181,33 +162,28 @@ def _best_split(Xn: np.ndarray, yn: np.ndarray, cols: np.ndarray, min_leaf: int)
 
 
 def _grow_tree(Xv: np.ndarray, y: np.ndarray, sample_idx: np.ndarray, cols: np.ndarray,
-               d: int, config: TrainConfig, rng: np.random.Generator) -> Tree:
+               d: int, config: TrainConfig, rng: np.random.Generator) -> dict:
     """Grow one tree on `Xv`, the columns `cols` (ascending) of a table `d`
     wide that vary over the training rows; split features index the full
     table. With `max_features_fraction < 1` each node draws from all `d`
     columns and keeps the drawn ones in `cols`: a constant column never
-    splits, so the tree and the random stream are those of the full table."""
+    splits, so the tree and the random stream are those of the full table.
+    Returns the tree's node arrays by name, as `Forest.from_trees` takes them."""
     n_total = len(sample_idx)
     n_sub = max(1, int(np.ceil(config.max_features_fraction * d)))
     position = np.full(d, -1)  # full column index -> column of Xv
     position[cols] = np.arange(len(cols))
-    feature, threshold, left, right, value, n_samples, decrease = [], [], [], [], [], [], []
+    tree = Nodes(*([] for _ in _NODE_ARRAYS))
 
-    def new_node():
-        for a in (feature, threshold, left, right, value, n_samples, decrease):
-            a.append(0)
-        return len(feature) - 1
+    def leaf(idx) -> int:  # a node is a leaf until it splits
+        for column, v in zip(tree, (-1, 0.0, -1, -1, float(y[idx].mean()), len(idx), 0.0)):
+            column.append(v)
+        return len(tree.feature) - 1
 
-    stack = [(sample_idx, new_node())]
+    stack = [(sample_idx, leaf(sample_idx))]
     while stack:
         idx, slot = stack.pop()
         yn = y[idx]
-        n_samples[slot] = len(idx)
-        value[slot] = float(yn.mean())
-        feature[slot] = -1
-        threshold[slot] = 0.0
-        left[slot] = right[slot] = -1
-        decrease[slot] = 0.0
         if len(idx) < max(2, 2 * config.min_samples_leaf) or yn.min() == yn.max():
             continue
         if config.max_features_fraction < 1.0:
@@ -226,14 +202,11 @@ def _grow_tree(Xv: np.ndarray, y: np.ndarray, sample_idx: np.ndarray, cols: np.n
         go_left = Xv[idx, position[f]] <= thr
         if not go_left.any() or go_left.all():  # adjacent-float midpoint degeneracy
             continue
-        feature[slot] = f
-        threshold[slot] = thr
-        decrease[slot] = gain / n_total
-        l_slot, r_slot = new_node(), new_node()
-        left[slot], right[slot] = l_slot, r_slot
-        stack.append((idx[~go_left], r_slot))
-        stack.append((idx[go_left], l_slot))
-    return _tree((feature, threshold, left, right, value, n_samples, decrease))
+        tree.feature[slot], tree.threshold[slot], tree.decrease[slot] = f, thr, gain / n_total
+        tree.left[slot], tree.right[slot] = leaf(idx[go_left]), leaf(idx[~go_left])
+        stack.append((idx[~go_left], tree.right[slot]))
+        stack.append((idx[go_left], tree.left[slot]))
+    return tree._asdict()
 
 
 def train(X, y, config: TrainConfig = TrainConfig()) -> Forest:
@@ -255,12 +228,12 @@ def train(X, y, config: TrainConfig = TrainConfig()) -> Forest:
     cols = np.flatnonzero(X.min(axis=0) < X.max(axis=0))
     Xv = X[:, cols]
 
-    def grow(ss: np.random.SeedSequence) -> Tree:
+    def grow(ss: np.random.SeedSequence) -> dict:
         rng = np.random.default_rng(ss)
         return _grow_tree(Xv, y, rng.integers(0, n, size=n), cols, d, config, rng)
 
     seeds = np.random.SeedSequence(config.seed).spawn(config.n_trees)
-    return Forest(map_in_order(grow, seeds), config, d)
+    return Forest.from_trees(map_in_order(grow, seeds), config, d)
 
 
 def predict(forest: Forest, x) -> float:
@@ -276,10 +249,33 @@ def predict_batch(forest: Forest, X) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != forest.feature_count:
         raise ValueError(f"expected (n, {forest.feature_count}) features")
+    nodes, roots = forest.nodes, forest.start[:-1]
+    node = np.repeat(roots, len(X))  # per (tree, row) pair, tree-major
+    active = np.arange(len(node))
+    while len(active):  # one level of every tree per step
+        at = node[active]
+        inner = nodes.feature[at] >= 0
+        active, at = active[inner], at[inner]
+        go_left = X[active % len(X), nodes.feature[at]] <= nodes.threshold[at]
+        node[active] = roots[active // len(X)] + np.where(go_left, nodes.left[at],
+                                                          nodes.right[at])
     acc = np.zeros(len(X))
-    for t in forest.trees:
-        acc += t.predict_batch(X)
-    return acc / len(forest.trees)
+    for leaves in nodes.value[node].reshape(len(roots), len(X)):  # tree order: a loop's sums
+        acc += leaves
+    return acc / len(roots)
+
+
+def depths(forest: Forest) -> np.ndarray:
+    """Edges on each tree's longest root-to-leaf path, 0 for a lone leaf."""
+    nodes, roots = forest.nodes, forest.start[:-1]
+    out = np.zeros(len(roots), dtype=np.int64)
+    level, tree, depth = roots, np.arange(len(roots)), 0
+    while len(level):  # one level of every tree per step
+        inner = nodes.feature[level] >= 0
+        level, tree, depth = level[inner], np.tile(tree[inner], 2), depth + 1
+        out[tree] = depth
+        level = roots[tree] + np.concatenate((nodes.left[level], nodes.right[level]))
+    return out
 
 
 def r2(predictions, targets) -> float:
@@ -299,10 +295,9 @@ def impurity_importance(forest: Forest) -> np.ndarray:
     """Per-feature impurity decrease summed within trees, averaged across
     trees, normalized to sum to 1 (zero vector if no tree ever splits)."""
     total = np.zeros(forest.feature_count)
-    for t in forest.trees:
-        internal = t.feature >= 0
-        np.add.at(total, t.feature[internal], t.decrease[internal])
-    total /= len(forest.trees)
+    internal = forest.nodes.feature >= 0
+    np.add.at(total, forest.nodes.feature[internal], forest.nodes.decrease[internal])
+    total /= len(forest.start) - 1
     s = total.sum()
     return total / s if s > 0 else total
 
@@ -321,9 +316,7 @@ def permutation_importance(forest: Forest, X, y, repeats: int = 5,
     y = np.asarray(y, dtype=float)
     rng = np.random.default_rng(seed)
     base = r2(predict_batch(forest, X), y)
-    split = np.zeros(X.shape[1], dtype=bool)
-    for t in forest.trees:
-        split[t.feature[t.feature >= 0]] = True
+    split = np.isin(np.arange(X.shape[1]), forest.nodes.feature)
     out = np.zeros(X.shape[1])
     for j in range(X.shape[1]):
         perms = [rng.permutation(len(X)) for _ in range(repeats)]

@@ -141,6 +141,11 @@ def _leaf_with_child(model):
     tree["left"][leaf] = len(tree["feature"]) - 1
 
 
+def _value_moved_to_next_tree(model):
+    """Equal total length, but neither tree's arrays are of equal length."""
+    model["trees"][1]["value"].append(model["trees"][0]["value"].pop())
+
+
 def _feature_out_of_range(model):
     tree = model["trees"][0]
     tree["feature"][0] = model["feature_count"]
@@ -149,6 +154,8 @@ def _feature_out_of_range(model):
 BAD_INPUTS = {
     "features_short_row": ("train,predict", "features.csv, line 3", lambda d: _edit_csv_line(
         d / "features.csv", 3, lambda line: line.rsplit(",", 1)[0])),
+    "features_not_utf8": ("predict", "features.csv: not UTF-8", lambda d: (
+        d / "features.csv").write_bytes((d / "features.csv").read_bytes() + b"\xff\xfe\n")),
     "features_non_numeric": ("train,predict", "features.csv, line 2", lambda d: _edit_csv_line(
         d / "features.csv", 2, lambda line: line + "x")),
     "manifest_format_version": ("predict", "format_version", lambda d: _edit_json(
@@ -304,6 +311,9 @@ BAD_INPUTS = {
         d / "model.json", _set_first_tree("right", 0, 10 ** 6))),
     "model_ragged_arrays": ("predict", "equal length", lambda d: _edit_json(
         d / "model.json", lambda model: model["trees"][0]["value"].pop())),
+    "model_value_moved_to_next_tree": ("predict", "tree 0: node arrays must be non-empty and"
+                                       " of equal length", lambda d: _edit_json(
+        d / "model.json", _value_moved_to_next_tree)),
     "model_leaf_with_child": ("predict", "leaf", lambda d: _edit_json(
         d / "model.json", _leaf_with_child)),
     "model_feature_out_of_range": ("predict", "split feature", lambda d: _edit_json(
@@ -733,6 +743,17 @@ def test_explain_run_log_records_gap_and_varying(dataset, tmp_path):
     assert 0 < varying < X.shape[1]
 
 
+def test_explain_pixels_top_k_zero_writes_nothing(dataset, tmp_path, capsys):
+    copy = tmp_path / "d"
+    shutil.copytree(dataset, copy)
+    for f in (copy / "attributions").glob("pixels_*"):
+        f.unlink()
+    assert run("explain", copy / "manifest.json", "--mode", "pixels", "--target", "item_0001",
+               "--top-k", 0) == 2
+    assert "--top-k must be >= 1" in capsys.readouterr().err
+    assert not list(copy.rglob("pixels_*"))
+
+
 def test_explain_unknown_target(dataset):
     assert run("explain", dataset / "manifest.json", "--mode", "params",
                "--target", "item_9999") == 2
@@ -787,6 +808,14 @@ def test_render_bad_input(tmp_path):
     src = tmp_path / "bad.csv"
     src.write_text("1,2\n3\n")
     assert run("render", src, tmp_path / "x.pgm") == 2
+
+
+def test_render_not_utf8_names_file(tmp_path, capsys):
+    src = tmp_path / "bad.csv"
+    src.write_bytes(b"1.0,2.0\n3.0,\xff\n")
+    assert run("render", src, tmp_path / "x.pgm") == 2
+    assert f"{src}: not UTF-8" in capsys.readouterr().err
+    assert not (tmp_path / "x.pgm").exists()
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "x"])

@@ -294,17 +294,18 @@ def grow_tree_oracle(X, y, sample_idx, config, rng):
         left[slot], right[slot] = l_slot, r_slot
         stack.append((idx[~go_left], r_slot))
         stack.append((idx[go_left], l_slot))
-    return fr._tree((feature, threshold, left, right, value, n_samples, decrease))
+    return dict(feature=feature, threshold=threshold, left=left, right=right, value=value,
+                n_samples=n_samples, decrease=decrease)
 
 
 def train_oracle(X, y, config):
     """`train` with every tree grown by `grow_tree_oracle`, from the same
-    per-tree seeds."""
+    per-tree seeds, joined by the constructor `train` uses."""
     trees = []
     for ss in np.random.SeedSequence(config.seed).spawn(config.n_trees):
         rng = np.random.default_rng(ss)
         trees.append(grow_tree_oracle(X, y, rng.integers(0, len(X), size=len(X)), config, rng))
-    return fr.Forest(trees, config, X.shape[1])
+    return fr.Forest.from_trees(trees, config, X.shape[1])
 
 
 @settings(max_examples=60, deadline=None)
@@ -340,6 +341,93 @@ def test_all_constant_columns_grow_single_leaves():
         model = fr.train(X, y, config)
         assert all(len(t.feature) == 1 and t.feature[0] == -1 for t in model.trees)
         assert model.to_dict() == train_oracle(X, y, config).to_dict()
+
+
+# ---------------------------------------------------------------------------
+# The node table against per-tree walks
+
+def tree_predict_oracle(tree, X):
+    """One tree's leaf values for the rows of X, walked level by level."""
+    node = np.zeros(len(X), dtype=np.int64)
+    internal = tree.feature[node] >= 0
+    while internal.any():
+        idx = np.flatnonzero(internal)
+        f = tree.feature[node[idx]]
+        go_left = X[idx, f] <= tree.threshold[node[idx]]
+        node[idx] = np.where(go_left, tree.left[node[idx]], tree.right[node[idx]])
+        internal = tree.feature[node] >= 0
+    return tree.value[node]
+
+
+def predict_batch_oracle(forest, X):
+    acc = np.zeros(len(X))
+    for tree in forest.trees:
+        acc += tree_predict_oracle(tree, X)
+    return acc / len(forest.trees)
+
+
+def tree_depth_oracle(tree):
+    level, depth = np.zeros(1, dtype=np.int64), 0
+    while True:
+        level = level[tree.feature[level] >= 0]
+        if not len(level):
+            return depth
+        level = np.concatenate((tree.left[level], tree.right[level]))
+        depth += 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 30), st.integers(1, 6),
+       st.integers(1, 40), st.sampled_from([0.3, 1.0]), st.integers(1, 4),
+       st.integers(1, 4), st.sampled_from([1, 25]))
+@example(0, 2, 1, 3, 1.0, 1, 1, 1)    # two rows, one column of one level: lone leaves
+@example(1, 30, 6, 40, 0.3, 3, 4, 25)
+def test_predict_batch_matches_per_tree_walks(seed, n, d, n_trees, fraction, min_leaf,
+                                              levels, rows):
+    """The one walk over the node table gives every row the float the
+    per-tree walks summed in tree order give, bit for bit, and each tree
+    the depth of its own level walk. Few value levels make constant
+    columns and lone-leaf trees; the probe rows reach far outside the
+    training range and also sit exactly on split thresholds."""
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, levels, size=(n, d)).astype(float) * 0.5
+    y = rng.normal(size=n)
+    model = fr.train(X, y, fr.TrainConfig(n_trees=n_trees, max_features_fraction=fraction,
+                                          min_samples_leaf=min_leaf, seed=seed))
+    probes = rng.normal(size=(rows, d)) * 5
+    thresholds = model.nodes.threshold[model.nodes.feature >= 0]
+    if len(thresholds):
+        probes[: rows // 2] = rng.choice(thresholds, size=(rows // 2, d))
+    for P in (probes, probes[:1]):
+        assert fr.predict_batch(model, P).tobytes() == predict_batch_oracle(model, P).tobytes()
+    assert fr.depths(model).tolist() == [tree_depth_oracle(t) for t in model.trees]
+
+
+def test_impurity_importance_matches_per_tree_sums(rng):
+    X = rng.normal(size=(60, 8))
+    y = X[:, 0] + 0.5 * X[:, 3] ** 2 + rng.normal(size=60) * 0.1
+    model = fr.train(X, y, fr.TrainConfig(n_trees=12, max_features_fraction=0.5, seed=2))
+    total = np.zeros(model.feature_count)
+    for t in model.trees:
+        internal = t.feature >= 0
+        np.add.at(total, t.feature[internal], t.decrease[internal])
+    total /= len(model.trees)
+    assert fr.impurity_importance(model).tobytes() == (total / total.sum()).tobytes()
+
+
+def test_structural_fault_names_the_lowest_tree(rng):
+    """Tree 1 has a split feature out of range and tree 2 a child that loops
+    to its root: the lower tree is named, though its check comes later."""
+    model = fr.train(rng.normal(size=(30, 3)), rng.normal(size=30),
+                     fr.TrainConfig(n_trees=3, seed=1))
+    d = model.to_dict()
+    d["trees"][1]["feature"][0] = 3
+    d["trees"][2]["left"][0] = 0
+    with pytest.raises(ValueError, match=r"^tree 1: a split feature is outside \[0, 3\)$"):
+        fr.Forest.from_dict(d)
+    d["trees"][1]["feature"][0] = 0
+    with pytest.raises(ValueError, match="^tree 2: an internal node's child does not lie"):
+        fr.Forest.from_dict(d)
 
 
 # ---------------------------------------------------------------------------
