@@ -72,16 +72,23 @@ class Forest:
 
     @classmethod
     def from_trees(cls, trees, config: TrainConfig, feature_count: int) -> "Forest":
-        """Join per-tree node arrays, each tree a mapping from the names in
-        `_NODE_ARRAYS`. Reject a table that a walk could loop on or index
-        past: an internal node's children must follow it in its tree (the
-        grower appends them after it), a leaf has none, and split features
-        lie in [0, feature_count). A fault names the lowest tree with one."""
+        """Join per-tree node arrays, each tree a dict from the names in
+        `_NODE_ARRAYS` to numbers. Reject a table that a walk could loop on
+        or index past: an internal node's children must follow it in its
+        tree (the grower appends them after it), a leaf has none, and split
+        features lie in [0, feature_count). A fault names the lowest tree
+        with one."""
         if not trees:
             raise ValueError("model has no trees")
         per_tree = []
         for k, tree in enumerate(trees):
-            arrays = [np.asarray(tree[name], dtype=dtype) for name, dtype in _NODE_ARRAYS.items()]
+            if not isinstance(tree, dict):
+                raise ValueError(f"tree {k}: not an object")
+            try:
+                arrays = [np.asarray(tree[name], dtype=dtype)
+                          for name, dtype in _NODE_ARRAYS.items()]
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValueError(f"tree {k}: node arrays must hold numbers: {exc}") from None
             if not len(arrays[0]) or any(a.ndim != 1 or len(a) != len(arrays[0]) for a in arrays):
                 raise ValueError(f"tree {k}: node arrays must be non-empty and of equal length")
             per_tree.append(arrays)

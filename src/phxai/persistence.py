@@ -2,11 +2,13 @@
 
 A simplex enters the filtration at its diameter (max pairwise distance
 among its vertices), so birth and death values are in the same length units
-as the input coordinates. Pairs are computed by boundary-matrix column
-reduction; `reduce` works per dimension with the clearing optimization and
-`reduce_naive` is the slow textbook oracle used to cross-check it. Columns
-are kept as Python integers used as bitsets, which makes the Z/2 column
-addition a single XOR.
+as the input coordinates. Cohomology for pairs, homology chains on demand:
+`reduce` finds the pairs by coboundary-matrix reduction per dimension,
+bottom up, with clearing and the apparent-pair shortcut, and
+`representative_cycle` reduces the boundary matrix over the death columns
+only when a cycle is asked for. `reduce_naive` is the slow textbook oracle
+used to cross-check both. Columns are kept as Python integers used as
+bitsets, which makes the Z/2 column addition a single XOR.
 
 Classes still alive at the truncation radius are dropped: downstream
 histograms have finite axes, so unpaired classes can never be featurized.
@@ -76,7 +78,9 @@ class Filtration:
         self.max_dim = max_dim
         self.n_points = n_points
         self._faces: dict[int, np.ndarray] = {}
-        self._reduction = None
+        self._pairs: list[PersistencePair] | None = None  # set by `reduce`
+        self._deaths: dict[int, np.ndarray] = {}  # p -> death columns of the p-block
+        self._chains: dict[int, dict[int, int]] = {}  # p -> death simplex -> its chain
 
     def __len__(self) -> int:
         return sum(self.count(p) for p in range(self.max_dim + 1))
@@ -84,18 +88,18 @@ class Filtration:
     def count(self, dim: int) -> int:
         return len(self._values[dim])
 
-    def global_index(self, dim: int, pos: int) -> int:
+    def global_index(self, dim: int, pos):
         """Rank of simplex `pos` of `dim` in the (value, dimension, vertices)
         order: `pos`, plus the simplices of each lower dimension with value
         <= its value, plus those of each higher dimension with value < it.
         Each dimension's block is sorted by (value, vertices), so each count
-        is one binary search."""
+        is one binary search. For an integer array `pos`, a list of ranks."""
         v = self._values[dim][pos]
-        rank = pos
+        rank = np.asarray(pos, dtype=np.int64)
         for q in range(self.max_dim + 1):
             if q != dim:
-                rank += np.searchsorted(self._values[q], v, "right" if q < dim else "left")
-        return int(rank)
+                rank = rank + np.searchsorted(self._values[q], v, "right" if q < dim else "left")
+        return rank.tolist()
 
     def value(self, dim: int, pos: int) -> float:
         return float(self._values[dim][pos])
@@ -190,21 +194,89 @@ def build_rips(dist: np.ndarray, max_dim: int, max_radius: float) -> Filtration:
 # ---------------------------------------------------------------------------
 # Reduction
 
-def _pairs_from_block(filtration: Filtration, p: int, skip: set[int]):
-    """Reduce the dimension-p column block; rows are (p-1)-simplex positions.
+def _coboundary_pairs(filtration: Filtration, p: int, cleared: set[int]):
+    """Pair (p-1)-simplices with p-simplices by reducing the coboundary
+    block: its columns are the (p-1)-simplices, latest first, its rows their
+    cofaces, and a column's pivot is its lowest p-position.
+
+    Columns in `cleared` are known to reduce to zero and are not visited. A
+    column whose earliest coface is no other column's pivot is paired at
+    once (Ripser's apparent and emergent pairs); only the others are built
+    as Python-int bitsets, where the pivot is the lowest set bit and the Z/2
+    column addition is one XOR.
+
+    Returns (births, deaths): the (p-1)- and p-positions of every pair,
+    zero-persistence pairs included.
+    """
+    faces = filtration.faces(p).ravel()
+    counts = np.bincount(faces, minlength=filtration.count(p - 1))
+    ends = np.cumsum(counts)
+    starts, ends = (ends - counts).tolist(), ends.tolist()
+    # by facet, then coface: one unstable sort of unique keys beats a stable one
+    cofaces = (np.argsort(faces * len(faces) + np.arange(len(faces))) // (p + 1)).tolist()
+
+    def bitset(s):
+        col = 0
+        for c in cofaces[starts[s]:ends[s]]:
+            col |= 1 << c
+        return col
+
+    owner: dict[int, int] = {}    # pivot row -> column
+    reduced: dict[int, int] = {}  # column -> its reduced bitset, once built
+    for s in range(len(ends) - 1, -1, -1):
+        if s in cleared or starts[s] == ends[s]:
+            continue
+        pivot = cofaces[starts[s]]
+        if pivot not in owner:
+            owner[pivot] = s
+            continue
+        col = bitset(s)
+        while col:
+            low = (col & -col).bit_length() - 1
+            k = owner.get(low)
+            if k is None:
+                owner[low] = s
+                reduced[s] = col
+                break
+            if k not in reduced:
+                reduced[k] = bitset(k)
+            col ^= reduced[k]
+    deaths = np.fromiter(owner.keys(), dtype=np.int64, count=len(owner))
+    births = np.fromiter(owner.values(), dtype=np.int64, count=len(owner))
+    return births, deaths
+
+
+def _joining_edges(filtration: Filtration) -> set[int]:
+    """Positions of the edges that join two components when the edges are
+    added in filtration order (Kruskal's union-find): the deaths of H0,
+    whose coboundary columns reduce to zero."""
+    root = list(range(filtration.n_points))
+    joining = set()
+    for e, (a, b) in enumerate(filtration._verts[1].tolist()):
+        while root[a] != a:
+            root[a] = a = root[root[a]]
+        while root[b] != b:
+            root[b] = b = root[root[b]]
+        if a != b:
+            root[a] = b
+            joining.add(e)
+    return joining
+
+
+def _reduced_columns(filtration: Filtration, p: int, columns: np.ndarray) -> dict[int, int]:
+    """Reduce the given columns of the dimension-p boundary block, in
+    increasing order; rows are (p-1)-simplex positions.
 
     Every column is a Python int used as a bitset over the rows, so the Z/2
-    column addition is one XOR and the pivot is the highest set bit.
-    Columns in `skip` are known to reduce to zero and are not visited.
+    column addition is one XOR and the pivot is the highest set bit. A
+    column left out must be one that reduces to zero: such a column is never
+    added to another, so the reduced columns of the rest are unchanged.
 
-    Returns the (pivot row -> column) pairing and the reduced column of
-    every paired column.
+    Returns the reduced column of every column that does not reduce to zero.
     """
     pivot_to_col: dict[int, int] = {}
     reduced: dict[int, int] = {}
-    for j, faces in enumerate(filtration.faces(p).tolist()):
-        if j in skip:
-            continue
+    for j, faces in zip(columns.tolist(), filtration.faces(p)[columns].tolist()):
         col = 0
         for r in faces:
             col |= 1 << r
@@ -216,7 +288,7 @@ def _pairs_from_block(filtration: Filtration, p: int, skip: set[int]):
                 reduced[j] = col
                 break
             col ^= reduced[k]
-    return pivot_to_col, reduced
+    return reduced
 
 
 def _bits(x: int):
@@ -231,31 +303,33 @@ def _bits(x: int):
 def reduce(filtration: Filtration) -> list[PersistencePair]:
     """Persistence pairs of dimensions 1 and 2, zero-persistence pairs dropped.
 
-    Works dimension by dimension from the top so that pivots found in the
-    (p+1)-block clear known-zero columns of the p-block before they are
-    reduced. The reduced death columns are cached on the filtration for
-    representative-cycle extraction.
+    Cohomology for pairs, homology chains on demand: each block is reduced
+    as a coboundary matrix (de Silva, Morozov & Vejdemo-Johansson 2011),
+    which gives the same pairs as the boundary matrix. The blocks go bottom
+    up, edges against triangles for H1, then triangles against tetrahedra
+    for H2. Clearing: every edge that joins two components is left out of
+    the H1 block, and every triangle that dies in H1, zero persistence
+    included, out of the H2 block. The pairs and each block's death columns
+    are cached on the filtration; `representative_cycle` builds the
+    homology chains from the latter.
     """
-    if filtration._reduction is not None:
-        return list(filtration._reduction[0])
-    pairs = []
-    chains: dict[tuple[int, int], tuple[int, ...]] = {}
-    skip: set[int] = set()
-    for p in range(filtration.max_dim, 1, -1):
-        pivot_to_col, reduced = _pairs_from_block(filtration, p, skip)
-        for low, j in pivot_to_col.items():
-            birth = filtration.value(p - 1, low)
-            death = filtration.value(p, j)
-            if death > birth:
-                pair = PersistencePair(p - 1, birth, death,
-                                       filtration.global_index(p - 1, low),
-                                       filtration.global_index(p, j))
-                pairs.append(pair)
-                chains[(pair.dimension, pair.death_simplex)] = tuple(_bits(reduced[j]))
-        skip = set(pivot_to_col.keys())
-    pairs.sort(key=lambda q: (q.dimension, q.birth, q.death, q.death_simplex))
-    filtration._reduction = (pairs, chains)
-    return list(pairs)
+    if filtration._pairs is None:
+        pairs = []
+        cleared = _joining_edges(filtration)
+        for p in range(2, filtration.max_dim + 1):
+            births, deaths = _coboundary_pairs(filtration, p, cleared)
+            cleared = set(deaths.tolist())
+            filtration._deaths[p] = np.sort(deaths)
+            birth = filtration._values[p - 1][births]
+            death = filtration._values[p][deaths]
+            kept = death > birth
+            pairs += [PersistencePair(p - 1, *q) for q in zip(
+                birth[kept].tolist(), death[kept].tolist(),
+                filtration.global_index(p - 1, births[kept]),
+                filtration.global_index(p, deaths[kept]))]
+        pairs.sort(key=lambda q: (q.dimension, q.birth, q.death, q.death_simplex))
+        filtration._pairs = pairs
+    return list(filtration._pairs)
 
 
 def reduce_naive(filtration: Filtration) -> list[PersistencePair]:
@@ -302,17 +376,30 @@ def diagram(pairs, dimension: int) -> PersistenceDiagram:
 def representative_cycle(filtration: Filtration, pair: PersistencePair) -> RepresentativeCycle:
     """The cycle killed at the pair's death column: the reduced column's chain.
 
+    Cohomology for pairs, homology chains on demand: on first use for a
+    dimension, the boundary block of the pair's death simplices is reduced
+    over the death columns `reduce` found (every other column reduces to
+    zero), and the chain of every death column is cached on the filtration.
+
     An approximation to a tight representative: it is born by the pair's
     birth time and becomes a boundary exactly at the death time.
     """
-    reduce(filtration)
-    chains = filtration._reduction[1]
-    key = (pair.dimension, pair.death_simplex)
-    if key not in chains:
+    p = pair.dimension + 1
+    if p not in range(2, filtration.max_dim + 1):
         raise KeyError(f"pair {pair} not found in the reduction record")
-    positions = chains[key]
+    chains = filtration._chains.get(p)
+    if chains is None:
+        reduce(filtration)
+        deaths = filtration._deaths[p]
+        reduced = _reduced_columns(filtration, p, deaths)
+        chains = dict(zip(filtration.global_index(p, deaths),
+                          (reduced[j] for j in deaths.tolist())))
+        filtration._chains[p] = chains
+    if pair.death_simplex not in chains:
+        raise KeyError(f"pair {pair} not found in the reduction record")
     verts = filtration._verts[pair.dimension]
-    simplices = tuple(tuple(int(v) for v in verts[pos]) for pos in positions)
+    simplices = tuple(tuple(int(v) for v in verts[pos])
+                      for pos in _bits(chains[pair.death_simplex]))
     vertex_set = frozenset(v for s in simplices for v in s)
     return RepresentativeCycle(pair, vertex_set, simplices)
 

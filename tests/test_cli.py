@@ -318,6 +318,10 @@ BAD_INPUTS = {
         d / "model.json", _leaf_with_child)),
     "model_feature_out_of_range": ("predict", "split feature", lambda d: _edit_json(
         d / "model.json", _feature_out_of_range)),
+    "model_node_null": ("predict", "model.json: tree 0: node arrays must hold numbers",
+                        lambda d: _edit_json(d / "model.json", _set_first_tree("left", 0, None))),
+    "model_tree_not_object": ("predict", "model.json: tree 1: not an object", lambda d: _edit_json(
+        d / "model.json", lambda model: model["trees"].__setitem__(1, "x"))),
 }
 
 

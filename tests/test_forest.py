@@ -221,7 +221,7 @@ def best_split_oracle(Xn, yn, cols, min_leaf):
     return best[1], float(best[2]), sse_parent - (y_sq - best[0])
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 14), st.integers(1, 5),
        st.integers(1, 3), st.integers(1, 4), st.booleans())
 @example(0, 3, 1, 1, 3, False)
@@ -308,7 +308,7 @@ def train_oracle(X, y, config):
     return fr.Forest.from_trees(trees, config, X.shape[1])
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 24), st.integers(1, 12),
        st.integers(1, 3), st.sampled_from([0.05, 0.3, 1.0]), st.integers(1, 4),
        st.booleans())
@@ -376,7 +376,7 @@ def tree_depth_oracle(tree):
         depth += 1
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 30), st.integers(1, 6),
        st.integers(1, 40), st.sampled_from([0.3, 1.0]), st.integers(1, 4),
        st.integers(1, 4), st.sampled_from([1, 25]))

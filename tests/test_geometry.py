@@ -145,7 +145,7 @@ def test_target_single_point_matches_cell_scan():
     assert geo.synthetic_target(cloud, r, spec) == pytest.approx(expected, abs=1e-12)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 30), st.floats(0.25, 8.0),
        st.sampled_from([geo.GridSpec((-6.0, -6.0, -6.0), 1.5, 10),
                         geo.GridSpec((2.0, -3.0, 0.5), 0.75, 23)]))
@@ -221,7 +221,7 @@ def test_perturb_displacement_length(rng):
     assert len(moved) == len(cloud)
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20)
 @given(st.floats(1e-6, 10.0), st.integers(0, 10 ** 6))
 def test_perturb_norm_property(length, seed):
     rng = np.random.default_rng(99)
@@ -263,7 +263,7 @@ def test_default_grid_covers_114_cube():
     assert spec.n_cells == 185_193
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 60))
 def test_counts_plus_overflow_conserved(seed, n):
     rng = np.random.default_rng(seed)

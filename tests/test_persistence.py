@@ -3,6 +3,8 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from phxai import geometry as geo
 from phxai import persistence as ph
@@ -287,6 +289,100 @@ def test_cycle_boundary_zero_on_random_clouds(rng):
             cyc = ph.representative_cycle(f, pair)
             assert boundary_is_zero(cyc.simplices)
             assert cyc.vertex_set
+
+
+def homology_chains_oracle(f):
+    """{(dimension, death simplex): chain} of every pair of positive
+    persistence: each whole boundary block reduced top-down, every column
+    visited, no clearing."""
+    chains = {}
+    for p in range(2, f.max_dim + 1):
+        low_of, reduced = {}, {}
+        for j, faces in enumerate(f.faces(p).tolist()):
+            col = 0
+            for r in faces:
+                col |= 1 << r
+            while col:
+                low = col.bit_length() - 1
+                k = low_of.get(low)
+                if k is None:
+                    low_of[low], reduced[j] = j, col
+                    break
+                col ^= reduced[k]
+        for low, j in low_of.items():
+            if f.value(p, j) > f.value(p - 1, low):
+                rows = [r for r in range(reduced[j].bit_length()) if reduced[j] >> r & 1]
+                chains[p - 1, f.global_index(p, j)] = tuple(
+                    tuple(int(v) for v in f._verts[p - 1][r]) for r in rows)
+    return chains
+
+
+# the 3 x 3 x 3 lattice box without its centre: its subsets hold holes
+# and voids (the six face centres are an octahedron)
+SHELL = [v for v in product(range(3), repeat=3) if v != (1, 1, 1)]
+
+
+@st.composite
+def tied_clouds(draw):
+    """Distances of 0 to 11 points on a small integer lattice, with many
+    ties and duplicate points, and a radius taken from those distances (so
+    below, at or above the enclosing radius) or above all of them."""
+    n = draw(st.integers(0, 11))
+    if draw(st.booleans()):
+        points = draw(st.lists(st.sampled_from(SHELL), min_size=n, max_size=n, unique=True))
+    else:
+        points = draw(st.lists(st.tuples(*[st.integers(0, 3)] * 3), min_size=n, max_size=n))
+    d = geo.pairwise_distances(geo.PointCloud(np.array(points, float).reshape(n, 3)))
+    radii = sorted({float(x) for x in d[np.triu_indices(n, 1)] if x > 0})
+    return d, draw(st.sampled_from(radii + [2.0 * d.max(initial=0.0) + 1.0]))
+
+
+OCTAHEDRON = geo.pairwise_distances(geo.PointCloud(np.array(
+    [(0, 1, 1), (2, 1, 1), (1, 0, 1), (1, 2, 1), (1, 1, 0), (1, 1, 2)], float)))
+
+
+@settings(max_examples=300)
+@given(tied_clouds(), st.sampled_from([2, 3]))
+@example((OCTAHEDRON, 2.0), 3)
+def test_reduce_and_cycles_match_oracles_on_tied_clouds(cloud, max_dim):
+    """Cohomology pairs equal the naive reduction of the uncut complex, and
+    each on-demand chain equals the whole-block homology chain."""
+    d, r = cloud
+    f = ph.build_rips(d, max_dim, r)
+    pairs = ph.reduce(f)
+    assert pairs == ph.reduce_naive(uncut_filtration(d, max_dim, r))
+    chains = homology_chains_oracle(f)
+    assert sorted(chains) == sorted((q.dimension, q.death_simplex) for q in pairs)
+    for pair in pairs:
+        assert ph.representative_cycle(f, pair).simplices == chains[pair.dimension,
+                                                                    pair.death_simplex]
+
+
+def test_cycle_on_fresh_filtration_and_at_max_dim_2():
+    """`representative_cycle` reduces on its own when `reduce` has not run,
+    and works where there is no tetrahedron block."""
+    checked = {2: 0, 3: 0}
+    for cloud in [unit_square(), unit_octahedron()] + small_generator_clouds():
+        d = geo.pairwise_distances(cloud)
+        for max_dim in (2, 3):
+            pairs = ph.reduce(ph.build_rips(d, max_dim, 2.0 * d.max()))
+            fresh = ph.build_rips(d, max_dim, 2.0 * d.max())
+            chains = homology_chains_oracle(fresh)
+            for pair in pairs:
+                assert ph.representative_cycle(fresh, pair).simplices == chains[
+                    pair.dimension, pair.death_simplex]
+            checked[max_dim] += len(pairs)
+    assert checked[2] and checked[3]
+
+
+def test_pair_dying_at_a_birth_column_rejected():
+    """The octahedron's H2 class is born at a triangle, a positive column of
+    the H1 block, so no H1 cycle dies there."""
+    f = ph.build_rips(geo.pairwise_distances(unit_octahedron()), 3, 2.0)
+    h2 = [p for p in ph.reduce(f) if p.dimension == 2][0]
+    bogus = ph.PersistencePair(1, 0.5, h2.birth, 0, h2.birth_simplex)
+    with pytest.raises(KeyError):
+        ph.representative_cycle(f, bogus)
 
 
 def test_unknown_pair_rejected():

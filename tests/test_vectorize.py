@@ -52,7 +52,7 @@ def test_axis_edges():
     assert img.values[0, 9] == 1.0
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 40))
 def test_mass_plus_dropped_equals_size(seed, n):
     rng = np.random.default_rng(seed)

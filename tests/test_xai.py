@@ -78,7 +78,7 @@ def similarity_per_column(X, target_row, spec):
     return S
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.data(), st.integers(1, 8), st.integers(0, 6))
 def test_similarity_matrix_matches_per_column_definition(data, n, d):
     """Small integers with power-of-two ratios put rows exactly at the
@@ -302,7 +302,7 @@ def igcs_oracle(cohort, y, steps):
     return acc / steps
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 30), st.integers(1, 12),
        st.integers(1, 60), st.sampled_from(["random", "all_similar", "others_dissimilar"]))
 @example(0, 1, 1, 1, "random")
