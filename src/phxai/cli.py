@@ -57,16 +57,19 @@ def _csv_row(row: np.ndarray) -> str:
     return ",".join(map(repr, row.tolist()))
 
 
-def _write_grid_csv(path: Path, grid: np.ndarray) -> None:
+def _write_grid_csv(path: Path, grid: np.ndarray) -> list[str]:
+    """Write one CSV line per grid row; return the lines."""
     lines = [_csv_row(row) for row in grid]
     _atomic_write_bytes(path, ("\n".join(lines) + "\n").encode())
+    return lines
 
 
-def _write_pixel_grids(stem: Path, flat: np.ndarray) -> None:
+def _write_pixel_grids(stem: Path, flat: np.ndarray) -> list[str]:
     """Write a flat vector in `features` order as `<stem>_h1.csv` and
-    `<stem>_h2.csv`, one bins x bins grid each."""
-    for dim, grid in enumerate(vec.split_features(flat), start=1):
-        _write_grid_csv(Path(f"{stem}_h{dim}.csv"), grid)
+    `<stem>_h2.csv`, one bins x bins grid each; return their lines, H1 then
+    H2, which joined by commas are `_csv_row(flat)`."""
+    return [line for dim, grid in enumerate(vec.split_features(flat), start=1)
+            for line in _write_grid_csv(Path(f"{stem}_h{dim}.csv"), grid)]
 
 
 def _parse_rows(path, numbered_lines, width: int, skip: int = 0) -> np.ndarray:
@@ -406,7 +409,7 @@ def _stage_vectorize(m: dict, args) -> dict:
         m["histograms"] = {"h1": h1s.to_dict(), "h2": h2s.to_dict()}
     land_dir = m["_dir"] / "landscapes"
     land_dir.mkdir(exist_ok=True)
-    feature_rows = []
+    ids, rows, lines = [], [], []
     dropped = {"h1": 0, "h2": 0}
     for item in m["items"]:
         dg_path = m["_dir"] / "diagrams" / f"{item['id']}.json"
@@ -416,15 +419,13 @@ def _stage_vectorize(m: dict, args) -> dict:
         dropped["h1"] += img1.dropped
         dropped["h2"] += img2.dropped
         row = vec.features(img1, img2)
-        _write_pixel_grids(land_dir / item["id"], row)
-        feature_rows.append((item["id"], row))
-    header = "id," + ",".join(f"f{i}" for i in range(len(feature_rows[0][1])))
-    lines = [header]
-    for item_id, row in feature_rows:
-        lines.append(item_id + "," + _csv_row(row))
-    _atomic_write_bytes(m["_dir"] / "features.csv", ("\n".join(lines) + "\n").encode())
-    m["_features"] = ([item_id for item_id, _ in feature_rows],
-                      np.array([row for _, row in feature_rows]))
+        grid_lines = _write_pixel_grids(land_dir / item["id"], row)
+        ids.append(item["id"])
+        rows.append(row)
+        lines.append(item["id"] + "," + ",".join(grid_lines))
+    header = "id," + ",".join(f"f{i}" for i in range(len(rows[0])))
+    _atomic_write_bytes(m["_dir"] / "features.csv", ("\n".join([header, *lines]) + "\n").encode())
+    m["_features"] = (ids, np.array(rows))
     return {"vectorize": {"dropped": dropped}}
 
 

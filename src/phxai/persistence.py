@@ -3,12 +3,13 @@
 A simplex enters the filtration at its diameter (max pairwise distance
 among its vertices), so birth and death values are in the same length units
 as the input coordinates. Cohomology for pairs, homology chains on demand:
-`reduce` finds the pairs by coboundary-matrix reduction per dimension,
-bottom up, with clearing and the apparent-pair shortcut, and
-`representative_cycle` reduces the boundary matrix over the death columns
-only when a cycle is asked for. `reduce_naive` is the slow textbook oracle
-used to cross-check both. Columns are kept as Python integers used as
-bitsets, which makes the Z/2 column addition a single XOR.
+`reduce` reduces the vertex, edge and triangle coboundary blocks bottom up,
+each cleared by the previous block's deaths, with the apparent-pair
+shortcut; `representative_cycle` reduces the boundary matrix over the death
+columns only when a cycle is asked for. Facets are looked up by simplex key.
+`reduce_naive`, built from vertex tuples, is the slow textbook oracle for
+both. Columns are Python integers used as bitsets, so the Z/2 column
+addition is a single XOR.
 
 Classes still alive at the truncation radius are dropped: downstream
 histograms have finite axes, so unpaired classes can never be featurized.
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -105,28 +107,27 @@ class Filtration:
         return float(self._values[dim][pos])
 
     def faces(self, dim: int) -> np.ndarray:
-        """(k, dim+1) array: positions (within dim-1) of each simplex's facets."""
+        """(k, dim+1) array: positions (within dim-1) of each simplex's facets,
+        column c the facet without vertex c, read from a table indexed by the
+        facet's base-n key (Ripser's simplex addressing, Bauer 2021)."""
         if dim in self._faces:
             return self._faces[dim]
         verts = self._verts[dim]
         k = len(verts)
         if dim == 0 or k == 0:
             return np.zeros((k, 0), dtype=np.int64)
-        sub_verts = self._verts[dim - 1]
         n = self.n_points
         def encode(v):
             key = v[:, 0].astype(np.int64)
             for c in range(1, v.shape[1]):
                 key = key * n + v[:, c]
             return key
-        sub_keys = encode(sub_verts)
-        sub_order = np.argsort(sub_keys, kind="stable")
-        sub_sorted = sub_keys[sub_order]
+        # no unset entry is read: every facet of a simplex is in the complex
+        table = np.empty(n ** dim, dtype=np.int64)
+        table[encode(self._verts[dim - 1])] = np.arange(self.count(dim - 1))
         out = np.empty((k, dim + 1), dtype=np.int64)
         for drop in range(dim + 1):
-            face = np.delete(verts, drop, axis=1)
-            loc = np.searchsorted(sub_sorted, encode(face))
-            out[:, drop] = sub_order[loc]
+            out[:, drop] = table[encode(np.delete(verts, drop, axis=1))]
         self._faces[dim] = out
         return out
 
@@ -246,23 +247,6 @@ def _coboundary_pairs(filtration: Filtration, p: int, cleared: set[int]):
     return births, deaths
 
 
-def _joining_edges(filtration: Filtration) -> set[int]:
-    """Positions of the edges that join two components when the edges are
-    added in filtration order (Kruskal's union-find): the deaths of H0,
-    whose coboundary columns reduce to zero."""
-    root = list(range(filtration.n_points))
-    joining = set()
-    for e, (a, b) in enumerate(filtration._verts[1].tolist()):
-        while root[a] != a:
-            root[a] = a = root[root[a]]
-        while root[b] != b:
-            root[b] = b = root[root[b]]
-        if a != b:
-            root[a] = b
-            joining.add(e)
-    return joining
-
-
 def _reduced_columns(filtration: Filtration, p: int, columns: np.ndarray) -> dict[int, int]:
     """Reduce the given columns of the dimension-p boundary block, in
     increasing order; rows are (p-1)-simplex positions.
@@ -306,20 +290,22 @@ def reduce(filtration: Filtration) -> list[PersistencePair]:
     Cohomology for pairs, homology chains on demand: each block is reduced
     as a coboundary matrix (de Silva, Morozov & Vejdemo-Johansson 2011),
     which gives the same pairs as the boundary matrix. The blocks go bottom
-    up, edges against triangles for H1, then triangles against tetrahedra
-    for H2. Clearing: every edge that joins two components is left out of
-    the H1 block, and every triangle that dies in H1, zero persistence
-    included, out of the H2 block. The pairs and each block's death columns
-    are cached on the filtration; `representative_cycle` builds the
-    homology chains from the latter.
+    up: vertices against edges for H0, edges against triangles for H1, then
+    triangles against tetrahedra for H2. H0 pairs are not reported. Clearing:
+    every edge that dies in H0 (joins two components) is left out of the H1
+    block, and every triangle that dies in H1, zero persistence included,
+    out of the H2 block. The pairs and each block's death columns are
+    cached on the filtration; `representative_cycle` builds the homology
+    chains from the latter.
     """
     if filtration._pairs is None:
-        pairs = []
-        cleared = _joining_edges(filtration)
-        for p in range(2, filtration.max_dim + 1):
+        pairs, cleared = [], set()
+        for p in range(1, filtration.max_dim + 1):
             births, deaths = _coboundary_pairs(filtration, p, cleared)
             cleared = set(deaths.tolist())
             filtration._deaths[p] = np.sort(deaths)
+            if p == 1:
+                continue
             birth = filtration._values[p - 1][births]
             death = filtration._values[p][deaths]
             kept = death > birth
@@ -336,14 +322,15 @@ def reduce_naive(filtration: Filtration) -> list[PersistencePair]:
     """Textbook left-to-right reduction over the full boundary matrix.
 
     Slow test oracle: no clearing, no per-dimension blocking; it sorts the
-    simplices into the (value, dimension, vertices) order itself, and its
+    simplices into the (value, dimension, vertices) order itself, finds each
+    facet by its vertex tuple, not through `Filtration.faces`, and its
     columns are plain sets of global row indices.
     """
-    order = sorted((filtration.value(p, pos), p, tuple(filtration._verts[p][pos].tolist()), pos)
+    order = sorted((filtration.value(p, pos), p, tuple(filtration._verts[p][pos].tolist()))
                    for p in range(filtration.max_dim + 1) for pos in range(filtration.count(p)))
-    index_of = {(p, pos): g for g, (_, p, _, pos) in enumerate(order)}
-    columns = [{index_of[p - 1, r] for r in filtration.faces(p)[pos].tolist()} if p else set()
-               for _, p, _, pos in order]
+    index_of = {verts: g for g, (_, _, verts) in enumerate(order)}
+    columns = [{index_of[face] for face in combinations(verts, p)} if p else set()
+               for _, p, verts in order]
     low_of: dict[int, int] = {}
     pairs = []
     for j, col in enumerate(columns):

@@ -46,21 +46,22 @@ class SimilaritySpec:
 
 @dataclass
 class CohortIndicatorMatrix:
-    """n x d binary indicators: S[i, j] == 1 iff row i is similar to the
-    target on feature j. The target row is all ones by construction."""
+    """n x d indicators, stored as bool: S[i, j] iff row i is similar to the
+    target on feature j; the target row is all true by construction. Values
+    other than 0 and 1 are rejected as given, before any cast."""
 
     S: np.ndarray
     target_row: int
 
     def __post_init__(self):
-        S = np.asarray(self.S, dtype=np.uint8)
+        S = np.asarray(self.S)
         if S.ndim != 2:
             raise ValueError("S must be 2-D")
-        if not np.isin(S, (0, 1)).all():
+        if S.dtype != bool and not np.isin(S, (0, 1)).all():
             raise ValueError("S entries must be 0 or 1")
-        if not (S[self.target_row] == 1).all():
+        if not S[self.target_row].all():
             raise ValueError("target row must be all ones")
-        self.S = S
+        self.S = S.astype(bool, copy=False)
 
     @property
     def n_rows(self) -> int:

@@ -68,6 +68,30 @@ def oracle_clouds(rng):
     return [(c, False) for c in clouds] + [(c, True) for c in generated]
 
 
+def faces_oracle(f, p):
+    """Facet positions of every p-simplex, column c the facet without vertex
+    c, looked up by vertex tuple."""
+    position = {v: i for i, v in enumerate(map(tuple, f._verts[p - 1].tolist()))}
+    return [[position[v[:c] + v[c + 1:]] for c in range(p + 1)]
+            for v in map(tuple, f._verts[p].tolist())]
+
+
+def joining_edges_oracle(f):
+    """Positions of the edges that join two components when the edges are
+    added in filtration order (Kruskal's union-find): the deaths of H0."""
+    root = list(range(f.n_points))
+    joining = set()
+    for e, (a, b) in enumerate(f._verts[1].tolist()):
+        while root[a] != a:
+            root[a] = a = root[root[a]]
+        while root[b] != b:
+            root[b] = b = root[root[b]]
+        if a != b:
+            root[a] = b
+            joining.add(e)
+    return joining
+
+
 def oracle_radii(d):
     """max_radius below, equal to and above the enclosing radius."""
     enclosing = d.max(axis=1).min() if len(d) > 1 else math.inf
@@ -149,13 +173,20 @@ def test_build_rips_equals_subset_oracle(rng):
 
 
 def test_budget_error():
-    """93 points are the fewest whose C(n, 2..4) candidates exceed the
-    enumeration budget; the check runs before any simplex is listed."""
+    """92 points at max_dim 3 and 262 at max_dim 2 are the largest clouds
+    the enumeration budget admits; one point more is over it, and the check
+    runs before any simplex is listed. At the largest, the facet table has
+    n**max_dim entries, and the complex still reduces."""
     rng = np.random.default_rng(0)
-    d = geo.pairwise_distances(geo.PointCloud(rng.normal(size=(93, 3))))
-    with pytest.raises(ph.SimplexBudgetError):
-        ph.build_rips(d, 3, 100.0)
-    ph.build_rips(d[:92, :92], 3, 0.1)
+    for n, max_dim in ((92, 3), (262, 2)):
+        d = geo.pairwise_distances(geo.PointCloud(rng.normal(size=(n + 1, 3))))
+        with pytest.raises(ph.SimplexBudgetError):
+            ph.build_rips(d, max_dim, 100.0)
+        f = ph.build_rips(d[:n, :n], max_dim, 0.8)
+        assert f.count(max_dim) > 0
+        for p in range(1, max_dim + 1):
+            assert f.faces(p).tolist() == faces_oracle(f, p)
+        assert ph.reduce(f) == ph.reduce_naive(f)
 
 
 # ---------------------------------------------------------------------------
@@ -294,11 +325,11 @@ def test_cycle_boundary_zero_on_random_clouds(rng):
 def homology_chains_oracle(f):
     """{(dimension, death simplex): chain} of every pair of positive
     persistence: each whole boundary block reduced top-down, every column
-    visited, no clearing."""
+    visited, no clearing, facets found by vertex tuple."""
     chains = {}
     for p in range(2, f.max_dim + 1):
         low_of, reduced = {}, {}
-        for j, faces in enumerate(f.faces(p).tolist()):
+        for j, faces in enumerate(faces_oracle(f, p)):
             col = 0
             for r in faces:
                 col |= 1 << r
@@ -345,12 +376,17 @@ OCTAHEDRON = geo.pairwise_distances(geo.PointCloud(np.array(
 @given(tied_clouds(), st.sampled_from([2, 3]))
 @example((OCTAHEDRON, 2.0), 3)
 def test_reduce_and_cycles_match_oracles_on_tied_clouds(cloud, max_dim):
-    """Cohomology pairs equal the naive reduction of the uncut complex, and
-    each on-demand chain equals the whole-block homology chain."""
+    """Cohomology pairs equal the naive reduction of the uncut complex, the
+    facet table and the H0 deaths that clear the H1 block equal their
+    vertex-tuple and union-find oracles, and each on-demand chain equals the
+    whole-block homology chain."""
     d, r = cloud
     f = ph.build_rips(d, max_dim, r)
     pairs = ph.reduce(f)
     assert pairs == ph.reduce_naive(uncut_filtration(d, max_dim, r))
+    for p in range(1, max_dim + 1):
+        assert f.faces(p).tolist() == faces_oracle(f, p)
+    assert f._deaths[1].tolist() == sorted(joining_edges_oracle(f))
     chains = homology_chains_oracle(f)
     assert sorted(chains) == sorted((q.dimension, q.death_simplex) for q in pairs)
     for pair in pairs:

@@ -172,6 +172,21 @@ def test_dataset_duplication_invariance(rng):
     assert np.abs(att.values - att2.values).max() < 1e-12
 
 
+@pytest.mark.parametrize("row, value", [(1, 0.5), (1, 1.7), (0, 256), (1, np.nan)])
+def test_non_binary_entries_rejected_before_any_cast(row, value):
+    """0.5 and 1.7 would truncate to a valid 0 or 1, 256 would wrap to 0 in
+    the target row, and NaN would warn in a cast to an integer type."""
+    S = np.ones((3, 2))
+    S[row, 1] = value
+    with pytest.raises(ValueError, match="S entries must be 0 or 1"):
+        xai.CohortIndicatorMatrix(S, 0)
+
+
+def test_indicators_stored_as_bool():
+    cohort = xai.CohortIndicatorMatrix(np.array([[1, 1], [0, 1]], dtype=np.uint8), 0)
+    assert cohort.S.dtype == bool and cohort.S.tolist() == [[True, True], [False, True]]
+
+
 def test_feature_budget_error_mentions_igcs():
     S = np.ones((3, 26), dtype=np.uint8)
     with pytest.raises(xai.CohortSizeError, match="igcs"):
