@@ -97,9 +97,11 @@ def _parse_rows(path, numbered_lines, width: int, skip: int = 0) -> np.ndarray:
 
 
 def _read_text(path: Path) -> str:
-    """An input file's text; bytes that are not UTF-8 are a data error."""
+    """An input file's text; a missing file or non-UTF-8 bytes are a data error."""
     try:
         return Path(path).read_text()
+    except FileNotFoundError:
+        raise DataError(f"{path}: not found") from None
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text: {exc}") from None
 
@@ -151,7 +153,8 @@ _FINITE, _INT, _STR = ((_is_finite, "a finite number"), (_is_int, "an integer"),
 # both. Value rules (positive, >= 1) are the spec constructors' and
 # `_check_max_radius`'s, so manifest values and CLI flags meet the same rule.
 MANIFEST_FIELDS = _by_steps({
-    "rips.max_dim": _INT, "rips.max_radius": (_is_number, "a number"),
+    "rips.max_dim": (lambda v: _is_int(v) and v in (2, 3), "an integer 2 or 3"),
+    "rips.max_radius": (_is_number, "a number"),
     "grid.origin": (lambda v: isinstance(v, list) and len(v) == 3 and all(map(_is_finite, v)),
                     "a list of three numbers"),
     "grid.cell_size": _FINITE, "grid.cells_per_axis": _INT,
@@ -201,8 +204,6 @@ def _read_json(path: Path):
 
 def load_manifest(path) -> dict:
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"manifest not found: {path}")
     m = _read_json(path)
     if not isinstance(m, dict):
         raise DataError(f"{path}: not a JSON object")
@@ -230,12 +231,7 @@ def load_manifest(path) -> dict:
     ids = [item["id"] for item in m["items"]]
     if len(set(ids)) != len(ids):
         raise DataError("manifest item ids are not unique")
-    missing = [item["id"] for item in m["items"]
-               if not (path.parent / item["cloud"]).exists()]
-    if missing:
-        raise DataError(f"manifest references missing cloud files: {missing[:3]}")
-    m["_dir"] = path.parent
-    m["_path"] = path
+    m.update(_dir=path.parent, _path=path)
     return m
 
 
@@ -259,6 +255,8 @@ def _load_cloud(m: dict, item: dict) -> geo.PointCloud:
     path = m["_dir"] / item["cloud"]
     try:
         return geo.load_xyz(path)
+    except FileNotFoundError:
+        raise DataError(f"{path}: not found") from None
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from None
 
@@ -445,25 +443,26 @@ def _stage_train(m: dict, args) -> dict:
                                     min_samples_leaf=args.min_leaf,
                                     seed=args.seed)
     model = forest_mod.train(X[:n_train], y[:n_train], config)
+    # every step that can fail runs before the first file is written
+    log = {"holdout_r2": forest_mod.r2(forest_mod.predict_batch(model, X[n_train:]),
+                                       y[n_train:])} if holdout else {}
+    if args.importance == "impurity":
+        imp = forest_mod.impurity_importance(model)
+    elif args.importance == "permutation":
+        imp = forest_mod.permutation_importance(model, X[:n_train], y[:n_train],
+                                                repeats=3, seed=args.seed)
     model_path = m["_dir"] / "model.json"
     _write_json(model_path, model.to_dict())
     m["_model"] = model
-    log = {"train": {"nodes": np.diff(model.start).tolist(),
-                     "depth": forest_mod.depths(model).tolist(),
-                     "model_bytes": model_path.stat().st_size}}
+    log["train"] = {"nodes": np.diff(model.start).tolist(),
+                    "depth": forest_mod.depths(model).tolist(),
+                    "model_bytes": model_path.stat().st_size}
     for item in m["items"]:  # they came from the model just replaced
         item["prediction"] = None
     if args.importance != "none":
-        if args.importance == "impurity":
-            imp = forest_mod.impurity_importance(model)
-        else:
-            imp = forest_mod.permutation_importance(model, X[:n_train], y[:n_train],
-                                                    repeats=3, seed=args.seed)
         _write_grid_csv(m["_dir"] / f"importance_{args.importance}.csv", imp[:, None])
     if holdout:
-        score = forest_mod.r2(forest_mod.predict_batch(model, X[n_train:]), y[n_train:])
-        print(f"holdout R^2 over {holdout} items: {score:.4f}")
-        log["holdout_r2"] = score
+        print(f"holdout R^2 over {holdout} items: {log['holdout_r2']:.4f}")
     return log
 
 
@@ -485,9 +484,9 @@ def cmd_pipeline(args) -> int:
         if s not in known:
             raise DataError(f"unknown stage {s!r}; choose from ph,vectorize,train,predict")
     entries = {}
-    for s in stages:
+    for s in stages:  # saved after each stage, so it describes the files written so far
         entries.update(known[s](m, args))
-    _save_manifest(m)
+        _save_manifest(m)
     _append_run_log(m["_dir"], dict(_flags(args), stages=stages,
                                     max_radius=m["rips"]["max_radius"],
                                     histograms=m["histograms"], **entries))
@@ -521,6 +520,8 @@ def _explain_pixels(m: dict, args, target_idx: int, out_dir: Path) -> dict:
         raise DataError("--top-k must be >= 1")
     y = _predictions(m)
     ids, X = _load_features(m)
+    filtration = _filtration(m, _load_cloud(m, m["items"][target_idx]))
+    pairs = ph.reduce(filtration)
     att = explain_mod.pixel_attribution(X, y, target_idx,
                                         SimilaritySpec(ratio=args.ratio), args.steps)
     item_id = m["items"][target_idx]["id"]
@@ -532,8 +533,6 @@ def _explain_pixels(m: dict, args, target_idx: int, out_dir: Path) -> dict:
 
     # match influential pixels back to the target's diagram pairs and dump
     # a representative cycle for each matched pair
-    filtration = _filtration(m, _load_cloud(m, m["items"][target_idx]))
-    pairs = ph.reduce(filtration)
     h1s, h2s = _manifest_specs(m)
     cycles = []
     for dim, spec in ((1, h1s), (2, h2s)):

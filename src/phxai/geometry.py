@@ -406,5 +406,5 @@ def grid_counts(cloud: PointCloud, spec: GridSpec) -> GridCounts:
     """Count points per grid cell; out-of-cube points go to the overflow tally."""
     flat = point_cell_indices(cloud, spec)
     inside = flat >= 0
-    counts = np.bincount(flat[inside], minlength=spec.n_cells).astype(np.int64)
+    counts = np.bincount(flat[inside], minlength=spec.n_cells)
     return GridCounts(counts, spec, overflow=int((~inside).sum()))

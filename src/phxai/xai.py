@@ -99,7 +99,7 @@ def similarity_matrix(X, target_row: int, spec: SimilaritySpec = SimilaritySpec(
     if spec.kind == "categorical":
         S = X == X[target_row]
     else:
-        X = X.astype(float)
+        X = X.astype(float, copy=False)
         S = np.abs(X - X[target_row]) <= spec.ratio * (X.max(axis=0) - X.min(axis=0))
     return CohortIndicatorMatrix(S, target_row)
 
@@ -225,7 +225,7 @@ def igcs(cohort: CohortIndicatorMatrix, y, steps: int = DEFAULT_STEPS) -> Attrib
     if steps < 1:
         raise ValueError("steps must be >= 1")
     y = np.asarray(y, dtype=float)
-    Z = (1.0 - cohort.S).astype(float)
+    Z = 1.0 - cohort.S
     m = Z.sum(axis=1)
     t = (np.arange(1, steps + 1) - 0.5) / steps
     base = (1.0 - t)[:, None]

@@ -189,6 +189,9 @@ BAD_INPUTS = {
     "manifest_rips_max_dim_not_int": ("ph,vectorize", "manifest.json: 'rips.max_dim' must be an integer",
                                       lambda d: _edit_json(
         d / "manifest.json", lambda m: m["rips"].update(max_dim="3"))),
+    "manifest_rips_max_dim_5": ("predict", "manifest.json: 'rips.max_dim' must be an integer"
+                                " 2 or 3, not 5", lambda d: _edit_json(
+        d / "manifest.json", lambda m: m["rips"].update(max_dim=5))),
     "manifest_rips_max_radius_not_number": ("ph,vectorize",
                                             "manifest.json: 'rips.max_radius' must be a number",
                                             lambda d: _edit_json(
@@ -277,8 +280,12 @@ BAD_INPUTS = {
     "manifest_item_params_not_object": ("predict", "manifest.json: 'items.1.params' is not an object",
                                         lambda d: _edit_json(
         d / "manifest.json", lambda m: m["items"][1].update(params="cube"))),
+    "manifest_missing": ("predict", "manifest.json: not found",
+                         lambda d: (d / "manifest.json").unlink()),
     "manifest_not_json": ("predict", "manifest.json: not valid JSON", lambda d: (
         d / "manifest.json").write_text('{"format_version": "1",\n')),
+    "diagram_missing": ("vectorize", "diagram for item_0003 not found; run --stages ph first",
+                        lambda d: (d / "diagrams" / "item_0003.json").unlink()),
     "diagram_not_json": ("vectorize", "item_0003.json: not valid JSON", lambda d: (
         d / "diagrams" / "item_0003.json").write_text("[{}")),
     "diagram_not_list": ("vectorize", "item_0003.json: not a list of records",
@@ -295,16 +302,22 @@ BAD_INPUTS = {
                           "item_0003.json: '2.birth' must be a finite number, not nan",
                           lambda d: _edit_json(
         d / "diagrams" / "item_0003.json", lambda records: records[2].update(birth=float("nan")))),
+    "features_missing": ("predict", "features.csv not found; run `pipeline --stages vectorize`",
+                         lambda d: (d / "features.csv").unlink()),
     "features_nan_predict": ("predict", "features.csv, line 3", lambda d: _edit_csv_line(
         d / "features.csv", 3, lambda line: line.rsplit(",", 1)[0] + ",nan")),
     "features_inf_train": ("train", "features.csv, line 4", lambda d: _edit_csv_line(
         d / "features.csv", 4, lambda line: line.rsplit(",", 1)[0] + ",inf")),
+    "cloud_missing": ("ph", "clouds/item_0003.xyz: not found",
+                      lambda d: (d / "clouds" / "item_0003.xyz").unlink()),
     "cloud_non_numeric": ("ph", "item_0003.xyz: line 4: non-numeric coordinate",
                           lambda d: _edit_csv_line(
         d / "clouds" / "item_0003.xyz", 4, lambda line: line.rsplit(" ", 1)[0] + " x")),
     "cloud_nan": ("ph", "item_0003.xyz: point coordinates must be finite",
                   lambda d: _edit_csv_line(
         d / "clouds" / "item_0003.xyz", 4, lambda line: line.rsplit(" ", 1)[0] + " nan")),
+    "model_missing": ("predict", "model.json not found; run `pipeline --stages train`",
+                      lambda d: (d / "model.json").unlink()),
     "model_child_loops_to_root": ("predict", "does not lie after it", lambda d: _edit_json(
         d / "model.json", _set_first_tree("left", 0, 0))),
     "model_child_out_of_range": ("predict", "does not lie after it", lambda d: _edit_json(
@@ -340,6 +353,45 @@ def test_bad_inputs_exit_2_with_message(dataset, tmp_path, case):
                           env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 2, proc.stderr
     assert message in proc.stderr
+
+
+def test_train_failure_leaves_model_and_importance_unwritten(dataset, tmp_path):
+    """A holdout of one item has no R^2; the stage fails before it replaces
+    model.json or writes an importance file."""
+    copy = tmp_path / "d"
+    shutil.copytree(dataset, copy)
+    model = (copy / "model.json").read_bytes()
+    assert run("pipeline", copy / "manifest.json", "--stages", "train", "--trees", 4,
+               "--holdout", 1, "--importance", "impurity") == 2
+    assert (copy / "model.json").read_bytes() == model
+    assert not (copy / "importance_impurity.csv").exists()
+
+
+def test_pipeline_saves_manifest_after_each_stage(dataset, tmp_path):
+    """A failing train stage leaves the manifest describing the features.csv
+    that the vectorize stage before it wrote."""
+    copy = tmp_path / "d"
+    shutil.copytree(dataset, copy)
+    assert run("pipeline", copy / "manifest.json", "--stages", "vectorize,train",
+               "--bins", 40, "--trees", 0) == 2
+    m = cli.load_manifest(copy / "manifest.json")
+    _, X = cli._load_features(m)
+    assert m["histograms"]["h1"]["bins_per_axis"] == 40
+    assert X.shape[1] == 2 * 40 ** 2
+
+
+def test_missing_cloud_fails_only_the_commands_that_read_it(dataset, tmp_path, capsys):
+    copy = tmp_path / "d"
+    shutil.copytree(dataset, copy)
+    (copy / "clouds" / "item_0003.xyz").unlink()
+    for f in (copy / "attributions").glob("pixels_*"):
+        f.unlink()
+    manifest = copy / "manifest.json"
+    assert run("explain", manifest, "--mode", "params", "--target", "item_0002") == 0
+    assert run("explain", manifest, "--mode", "pixels", "--target", "item_0003",
+               "--steps", 10, "--top-k", 1) == 2
+    assert "item_0003.xyz: not found" in capsys.readouterr().err
+    assert not list(copy.rglob("pixels_item_0003*"))
 
 
 def test_cli_import_leaves_scipy_out():
